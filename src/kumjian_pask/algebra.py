@@ -78,10 +78,8 @@ def basis_shape(w: Word) -> str | None:
         return "ghost" if x.ghost else "path"
     if len(w) == 2:
         x, y = w
-        if (not x.ghost and not x.path.is_vertex and y.ghost
-                and x.path.source == y.path.source
-                and canonical.in_A(x.path, y.path)
-                and canonical.in_R(x.path, y.path)):
+        if (not x.ghost and y.ghost
+                and canonical.pair_kind(x.path, y.path) == "representative"):
             return "pair"
     return None
 

@@ -126,6 +126,17 @@ def in_R(lam: Path, mu: Path) -> bool:
         ClassKey(lam.range, mu.range, lam.levels, mu.levels))
 
 
+def pair_kind(lam: Path, mu: Path) -> str | None:
+    """Classify the pair behind a word lam . mu*: None unless both paths
+    have nonzero degree and a common source; otherwise 'unreduced' (not in
+    A), 'representative' (in R) or 'nonrep' (in A but not in R)."""
+    if lam.is_vertex or mu.is_vertex or lam.source != mu.source:
+        return None
+    if not in_A(lam, mu):
+        return "unreduced"
+    return "representative" if in_R(lam, mu) else "nonrep"
+
+
 def equivalent(a: PathPair, b: PathPair) -> bool:
     """Class equality of two reduced pairs."""
     return class_key(*a) == class_key(*b)

@@ -203,6 +203,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # check
+    if args.cases < 0:
+        raise UsageError(f"--cases must be >= 0, got {args.cases}")
     window = _parse_window(args.window, graph.k, args.degree_bound)
     if args.which == "all":
         reports = verify.run_all(graph, args.seed, args.cases, window, ring,

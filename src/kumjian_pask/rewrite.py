@@ -64,12 +64,11 @@ class RuleId(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class RedexMatch:
     """A rule instance at a word position (pos indexes the left letter,
-    0-based).  R4 carries the expansion degree, R5 the class key."""
+    0-based).  R4 carries the expansion degree."""
 
     rule: RuleId
     pos: int
     expand_degree: Optional[Coords] = None
-    key: Optional[canonical.ClassKey] = None
 
 
 class WordMeasure(NamedTuple):
@@ -95,15 +94,6 @@ def _active(x: Letter) -> bool:
     return not x.ghost and not x.path.is_vertex
 
 
-def _nonrep_pair(x: Letter, y: Letter) -> bool:
-    """Adjacent path/ghost pair that is reduced but not the representative."""
-    if x.ghost or x.path.is_vertex or not y.ghost:
-        return False
-    if x.path.source != y.path.source:
-        return False
-    return canonical.in_A(x.path, y.path) and not canonical.in_R(x.path, y.path)
-
-
 def word_measure(w: Word) -> WordMeasure:
     entropy = degree_value = one_level_value = ar_value = 0
     for i, x in enumerate(w):
@@ -112,7 +102,8 @@ def word_measure(w: Word) -> WordMeasure:
             degree_value += len(x.path.levels)
             one_level_value += sum(1 for e in x.path.levels if e == 1)
     for x, y in zip(w, w[1:]):
-        if _nonrep_pair(x, y):
+        if (not x.ghost and y.ghost
+                and canonical.pair_kind(x.path, y.path) == "nonrep"):
             ar_value += 1
     return WordMeasure(len(w), entropy, degree_value, one_level_value, ar_value)
 
@@ -153,11 +144,11 @@ def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
         # ghost * path, both of nonzero degree, equal ranges
         return RedexMatch(RuleId.R3_GHOST_PATH, pos)
     # path * ghost, both of nonzero degree, equal sources
-    if canonical.in_A(x.path, y.path):
-        if canonical.in_R(x.path, y.path):
-            return None
-        return RedexMatch(RuleId.R5_REPRESENTATIVE, pos,
-                          key=canonical.class_key(x.path, y.path))
+    kind = canonical.pair_kind(x.path, y.path)
+    if kind == "representative":
+        return None
+    if kind == "nonrep":
+        return RedexMatch(RuleId.R5_REPRESENTATIVE, pos)
     dd = meet(x.path.degree, y.path.degree)
     i = next(j for j, c in enumerate(dd) if c > 0)
     n = tuple(1 if j == i else 0 for j in range(len(dd)))
@@ -206,7 +197,6 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
         return [(left + (letter(a), letter(b, ghost=True)) + right, 1)
                 for a, b in graph.s_of(x.path, y.path)]
     if m.rule is RuleId.R5_REPRESENTATIVE:
-        # derive the key from the word itself; the match payload is advisory
         lam, mu = canonical.representative(canonical.class_key(x.path, y.path))
         return [(left + (letter(lam), letter(mu, ghost=True)) + right, 1)]
     # R4: strip the all-ones factor of degree n and expand

@@ -6,10 +6,11 @@ Each check runs seeded cases; a case derives its own RNG from the string
 alone.  Element equality is exact; there are no tolerances.
 
 check_kp_relations is exhaustive over a window (no randomness); the lemma
-checks and the confluence check are randomized samplers.  The confluence
-sampler rotates through the two-rule overlap families (compose/compose
-through expand/expand), builds a word admitting two competing first
-reductions, applies each, and requires identical normal forms.
+checks and the confluence check are randomized samplers.  Confluence is
+sampled by critical pairs: each case draws a chained 3-letter word until
+rewrite.all_redexes finds at least two competing rule instances on it, then
+applies every instance (every R4 expansion degree included) and requires
+each branch to normalize to the word's direct normal form.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from . import canonical
 from .freealg import Element, IntegerRing, Ring, Word, letter
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
                      join, meet, norm, vadd, vsub)
-from .rewrite import (RedexMatch, RuleId, _inner, _outer, apply_rule,
-                      match_at, normalize, valid_expansions)
+from .rewrite import _inner, all_redexes, apply_rule, normalize
 from .algebra import Window, uniform_window
 from .syntax import format_element, format_word
 
@@ -172,69 +172,38 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
                       case_index, body)
 
 
-def _rand_key(rng: random.Random, graph: StandardKGraph, window: Window,
-              tries: int = 64) -> canonical.ClassKey | None:
-    hi = min(window.degree_bound, 3)
-    for _ in range(tries):
-        rl = _rand_vertex(rng, window)
-        rr = _rand_vertex(rng, window)
-        a = rng.randint(1, hi)
-        b = a + norm(rr) - norm(rl)
-        if not 1 <= b <= hi:
-            continue
-        key = canonical.ClassKey(rl, rr, _rand_levels(rng, graph, a),
-                                 _rand_levels(rng, graph, b))
-        try:
-            canonical.rep_source(key)
-        except canonical.UnrealizableKeyError:
-            continue
-        return key
-    return None
-
-
-def _rand_nonrep_pair(rng: random.Random, graph: StandardKGraph,
-                      window: Window,
-                      tries: int = 64) -> canonical.PathPair | None:
-    """A reduced pair that is not its class representative (needs level >= 2)."""
-    if graph.level < 2:
-        return None
-    hi = min(window.degree_bound, 3)
-    for _ in range(tries):
-        rl = _rand_vertex(rng, window)
-        rr = _rand_vertex(rng, window)
-        a = rng.randint(1, hi)
-        b = a + norm(rr) - norm(rl)
-        if not 1 <= b <= hi:
-            continue
-        lvl = list(_rand_levels(rng, graph, a))
-        lvr = list(_rand_levels(rng, graph, b))
-        if lvl[-1] == 1 and lvr[-1] == 1:
-            # force reducedness for every member source
-            if rng.random() < 0.5:
-                lvl[-1] = rng.randint(2, graph.level)
-            else:
-                lvr[-1] = rng.randint(2, graph.level)
-        key = canonical.ClassKey(rl, rr, tuple(lvl), tuple(lvr))
-        try:
-            sources = canonical.member_sources(key)
-        except canonical.UnrealizableKeyError:
-            continue
-        if len(sources) < 2:
-            continue
-        return canonical.pair_for_source(key, rng.choice(sources[1:]))
-    return None
+def _rand_reduced_pair(rng: random.Random, graph: StandardKGraph,
+                       window: Window) -> canonical.PathPair:
+    """A reduced pair with a common source.  At level 1 that forces degrees
+    with disjoint supports (so k >= 2); at higher levels a trailing level
+    entry other than 1 is forced where the degrees meet."""
+    degs = degrees_upto(graph.k, min(window.degree_bound, 3), 1)
+    if graph.level == 1:
+        dl = rng.choice([d for d in degs if 0 in d])
+        dr = rng.choice([d for d in degs if not any(meet(dl, d))])
+    else:
+        dl, dr = rng.choice(degs), rng.choice(degs)
+    lvl = list(_rand_levels(rng, graph, norm(dl)))
+    lvr = list(_rand_levels(rng, graph, norm(dr)))
+    if any(meet(dl, dr)) and lvl[-1] == 1 and lvr[-1] == 1:
+        (lvl if rng.random() < 0.5 else lvr)[-1] = rng.randint(2, graph.level)
+    s = _rand_vertex(rng, window)
+    return (Path(vadd(s, dl), s, tuple(lvl)), Path(vadd(s, dr), s, tuple(lvr)))
 
 
 def check_lemma8(graph: StandardKGraph, seed: int, cases: int,
                  window: Window | None = None, ring: Ring | None = None,
                  case_index: int | None = None) -> CheckReport:
     """Two members of one equivalence class have equal pair words in the
-    quotient: their normal forms coincide."""
+    quotient: their normal forms coincide.  With k = level = 1, or with
+    degree bound 0, there is no reduced pair to sample and the report has
+    no cases."""
+    if (graph.k == graph.level == 1
+            or _default_window(graph, window).degree_bound == 0):
+        return CheckReport(name="lemma8", cases=0, seed=seed)
 
     def body(rng, graph, window, ring):
-        key = _rand_key(rng, graph, window)
-        if key is None:
-            return None
+        key = canonical.class_key(*_rand_reduced_pair(rng, graph, window))
         sources = canonical.member_sources(key)
         if len(sources) >= 2:
             s1, s2 = rng.sample(sources, 2)
@@ -334,218 +303,42 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
 # Confluence sampling
 # --------------------------------------------------------------------------
 
-def _expandable_pair(rng, graph, window) -> tuple[Path, Path]:
-    """A path/ghost pair carrying a common trailing all-ones factor."""
-    v = _rand_vertex(rng, window)
-    t = _rand_degree(rng, graph.k, min(window.degree_bound, 2), 1)
-    lam0 = _rand_path(rng, graph, window, 0, 2, source_v=v)
-    mu0 = _rand_path(rng, graph, window, 0, 2, source_v=v)
-    ones = graph.all_ones_path(v, t)
-    return compose(lam0, ones), compose(mu0, ones)
-
-
-def _random_letter(rng, graph, window, lo_norm=0):
-    p = _rand_path(rng, graph, window, lo_norm, 2)
-    return letter(p, ghost=rng.random() < 0.5)
-
-
-def _gen_11(rng, graph, window):
-    if rng.random() < 0.5:
-        x = _rand_path(rng, graph, window, 0, 2)
-        y = _rand_path(rng, graph, window, 0, 2, range_v=x.source)
-        z = _rand_path(rng, graph, window, 0, 2, range_v=y.source)
-        word = (letter(x), letter(y), letter(z))
-    else:
-        x = _rand_path(rng, graph, window, 0, 2)
-        y = _rand_path(rng, graph, window, 0, 2, source_v=x.range)
-        z = _rand_path(rng, graph, window, 0, 2, source_v=y.range)
-        word = (letter(x, True), letter(y, True), letter(z, True))
-    return word, (RuleId.R1_COMPOSE, 0), (RuleId.R1_COMPOSE, 1)
-
-
-def _gen_12(rng, graph, window):
-    x = _rand_path(rng, graph, window, 0, 2)
-    y = _rand_path(rng, graph, window, 0, 2, range_v=x.source)
+def _overlap_word(rng: random.Random, graph: StandardKGraph,
+                  window: Window) -> Word:
+    """A 3-letter word with at least two redexes.  Each letter is chained to
+    the previous letter's inner vertex, except for an occasional free letter
+    (which makes R2 overlaps); draws repeat until all_redexes finds two
+    redexes.  Three composable paths always do, so the loop ends."""
     while True:
-        z = _random_letter(rng, graph, window)
-        if _outer(z) != y.source:
-            break
-    word = (letter(x), letter(y), z)
-    return word, (RuleId.R1_COMPOSE, 0), (RuleId.R2_ORTHO, 1)
-
-
-def _gen_13(rng, graph, window):
-    if rng.random() < 0.5:
-        lam = _rand_path(rng, graph, window, 1, 2)
-        mu = _rand_path(rng, graph, window, 1, 2, range_v=lam.range)
-        xi = _rand_path(rng, graph, window, 0, 2, range_v=mu.source)
-        word = (letter(lam, True), letter(mu), letter(xi))
-        return word, (RuleId.R3_GHOST_PATH, 0), (RuleId.R1_COMPOSE, 1)
-    lam = _rand_path(rng, graph, window, 1, 2)
-    zeta = _rand_path(rng, graph, window, 0, 2, range_v=lam.source)
-    mu = _rand_path(rng, graph, window, 1, 2, range_v=lam.range)
-    word = (letter(zeta, True), letter(lam, True), letter(mu))
-    return word, (RuleId.R1_COMPOSE, 0), (RuleId.R3_GHOST_PATH, 1)
-
-
-def _gen_14(rng, graph, window):
-    lam, mu = _expandable_pair(rng, graph, window)
-    if rng.random() < 0.5:
-        xi = _rand_path(rng, graph, window, 0, 2, source_v=lam.range)
-        word = (letter(xi), letter(lam), letter(mu, True))
-        return word, (RuleId.R1_COMPOSE, 0), (RuleId.R4_EXPAND, 1)
-    zeta = _rand_path(rng, graph, window, 0, 2, source_v=mu.range)
-    word = (letter(lam), letter(mu, True), letter(zeta, True))
-    return word, (RuleId.R4_EXPAND, 0), (RuleId.R1_COMPOSE, 1)
-
-
-def _gen_15(rng, graph, window):
-    pair = _rand_nonrep_pair(rng, graph, window)
-    if pair is None:
-        return None
-    lam, mu = pair
-    if rng.random() < 0.5:
-        xi = _rand_path(rng, graph, window, 0, 2, source_v=lam.range)
-        word = (letter(xi), letter(lam), letter(mu, True))
-        return word, (RuleId.R1_COMPOSE, 0), (RuleId.R5_REPRESENTATIVE, 1)
-    zeta = _rand_path(rng, graph, window, 0, 2, source_v=mu.range)
-    word = (letter(lam), letter(mu, True), letter(zeta, True))
-    return word, (RuleId.R5_REPRESENTATIVE, 0), (RuleId.R1_COMPOSE, 1)
-
-
-def _gen_22(rng, graph, window):
-    while True:
-        a = _random_letter(rng, graph, window)
-        b = _random_letter(rng, graph, window)
-        c = _random_letter(rng, graph, window)
-        if _inner(a) != _outer(b) and _inner(b) != _outer(c):
-            return ((a, b, c), (RuleId.R2_ORTHO, 0), (RuleId.R2_ORTHO, 1))
-
-
-def _gen_23(rng, graph, window):
-    lam = _rand_path(rng, graph, window, 1, 2)
-    mu = _rand_path(rng, graph, window, 1, 2, range_v=lam.range)
-    while True:
-        xi = _random_letter(rng, graph, window)
-        if _outer(xi) != mu.source:
-            break
-    word = (letter(lam, True), letter(mu), xi)
-    return word, (RuleId.R3_GHOST_PATH, 0), (RuleId.R2_ORTHO, 1)
-
-
-def _gen_24(rng, graph, window):
-    lam, mu = _expandable_pair(rng, graph, window)
-    if rng.random() < 0.5:
-        while True:
-            xi = _random_letter(rng, graph, window)
-            if _outer(xi) != mu.range:
-                break
-        word = (letter(lam), letter(mu, True), xi)
-        return word, (RuleId.R4_EXPAND, 0), (RuleId.R2_ORTHO, 1)
-    while True:
-        xi = _random_letter(rng, graph, window)
-        if _inner(xi) != lam.range:
-            break
-    word = (xi, letter(lam), letter(mu, True))
-    return word, (RuleId.R2_ORTHO, 0), (RuleId.R4_EXPAND, 1)
-
-
-def _gen_25(rng, graph, window):
-    pair = _rand_nonrep_pair(rng, graph, window)
-    if pair is None:
-        return None
-    lam, mu = pair
-    if rng.random() < 0.5:
-        while True:
-            xi = _random_letter(rng, graph, window)
-            if _outer(xi) != mu.range:
-                break
-        word = (letter(lam), letter(mu, True), xi)
-        return word, (RuleId.R5_REPRESENTATIVE, 0), (RuleId.R2_ORTHO, 1)
-    while True:
-        xi = _random_letter(rng, graph, window)
-        if _inner(xi) != lam.range:
-            break
-    word = (xi, letter(lam), letter(mu, True))
-    return word, (RuleId.R2_ORTHO, 0), (RuleId.R5_REPRESENTATIVE, 1)
-
-
-def _gen_34(rng, graph, window):
-    lam, mu = _expandable_pair(rng, graph, window)
-    if rng.random() < 0.5:
-        zeta = _rand_path(rng, graph, window, 1, 2, range_v=mu.range)
-        word = (letter(lam), letter(mu, True), letter(zeta))
-        return word, (RuleId.R4_EXPAND, 0), (RuleId.R3_GHOST_PATH, 1)
-    xi = _rand_path(rng, graph, window, 1, 2, range_v=lam.range)
-    word = (letter(xi, True), letter(lam), letter(mu, True))
-    return word, (RuleId.R3_GHOST_PATH, 0), (RuleId.R4_EXPAND, 1)
-
-
-def _gen_35(rng, graph, window):
-    pair = _rand_nonrep_pair(rng, graph, window)
-    if pair is None:
-        return None
-    lam, mu = pair
-    if rng.random() < 0.5:
-        zeta = _rand_path(rng, graph, window, 1, 2, range_v=mu.range)
-        word = (letter(lam), letter(mu, True), letter(zeta))
-        return word, (RuleId.R5_REPRESENTATIVE, 0), (RuleId.R3_GHOST_PATH, 1)
-    xi = _rand_path(rng, graph, window, 1, 2, range_v=lam.range)
-    word = (letter(xi, True), letter(lam), letter(mu, True))
-    return word, (RuleId.R3_GHOST_PATH, 0), (RuleId.R5_REPRESENTATIVE, 1)
-
-
-def _gen_44(rng, graph, window):
-    v = _rand_vertex(rng, window)
-    t = rng.choice([d for d in degrees_upto(graph.k, 3, 2)])
-    lam0 = _rand_path(rng, graph, window, 0, 2, source_v=v)
-    mu0 = _rand_path(rng, graph, window, 0, 2, source_v=v)
-    ones = graph.all_ones_path(v, t)
-    lam, mu = compose(lam0, ones), compose(mu0, ones)
-    word = (letter(lam), letter(mu, True))
-    n1, n2 = rng.sample(valid_expansions(lam, mu), 2)
-    return (word,
-            RedexMatch(RuleId.R4_EXPAND, 0, expand_degree=n1),
-            RedexMatch(RuleId.R4_EXPAND, 0, expand_degree=n2))
-
-
-_FAMILIES = [
-    ("11", _gen_11), ("12", _gen_12), ("13", _gen_13), ("14", _gen_14),
-    ("15", _gen_15), ("22", _gen_22), ("23", _gen_23), ("24", _gen_24),
-    ("25", _gen_25), ("34", _gen_34), ("35", _gen_35), ("44", _gen_44),
-]
-
-
-def _as_match(word: Word, spec) -> RedexMatch:
-    if isinstance(spec, RedexMatch):
-        return spec
-    rule, pos = spec
-    m = match_at(word, pos)
-    if m is None or m.rule is not rule:
-        raise AssertionError(
-            f"confluence generator expected {rule} at {pos}, got {m}")
-    return m
+        letters = []
+        for _ in range(3):
+            ghost = rng.random() < 0.5
+            anchor = (_inner(letters[-1]) if letters and rng.random() < 0.8
+                      else None)
+            p = (_rand_path(rng, graph, window, source_v=anchor) if ghost
+                 else _rand_path(rng, graph, window, range_v=anchor))
+            letters.append(letter(p, ghost))
+        word = tuple(letters)
+        if len(all_redexes(word)) >= 2:
+            return word
 
 
 def check_confluence(graph: StandardKGraph, seed: int, cases: int,
                      window: Window | None = None, ring: Ring | None = None,
                      case_index: int | None = None) -> CheckReport:
-    """Each sampled overlap word is reduced by both competing first steps;
-    the two normal forms (and the direct normal form) must coincide."""
+    """Each sampled word with two or more redexes is reduced by every
+    competing first step; every branch must normalize to the direct normal
+    form."""
 
     def body(rng, graph, window, ring):
-        name, gen = _FAMILIES[rng.randrange(len(_FAMILIES))]
-        made = gen(rng, graph, window)
-        if made is None:
-            return None
-        word, spec_a, spec_b = made
-        ma, mb = _as_match(word, spec_a), _as_match(word, spec_b)
-        one = normalize(graph, apply_rule(graph, ring, word, ma))
-        two = normalize(graph, apply_rule(graph, ring, word, mb))
+        word = _overlap_word(rng, graph, window)
         direct = normalize(graph, Element.from_word(ring, word))
-        if one != two or one != direct:
-            return (format_word(word),
-                    f"family {name}: routes {ma} / {mb} diverge")
+        for m in all_redexes(word):
+            if normalize(graph, apply_rule(graph, ring, word, m)) != direct:
+                n = "" if m.expand_degree is None else f" n={m.expand_degree}"
+                return (format_word(word),
+                        f"branch {m.rule.value} at pos {m.pos}{n} diverges "
+                        f"from the direct normal form")
         return None
 
     return _run_cases("confluence", graph, seed, cases, window, ring,

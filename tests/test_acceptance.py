@@ -110,6 +110,7 @@ def test_criterion_4_empirical_confluence(corpus):
     for cfg, graph in GRAPHS.items():
         report = check_confluence(graph, SEED, 500)
         assert report.passed, report.text_lines()
+        assert report.cases == 500
     mismatches = 0
     for i, (graph, element, normal_form) in enumerate(corpus["cases"]):
         randomized = normalize(graph, element,

@@ -147,6 +147,14 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "normalize", "--k", "1", "--level", "1",
                            "@/nonexistent/element.txt")
     assert code == 2
+    # negative case count
+    code, out, err = run_cli(capsys, "check", "all", "--k", "1", "--level",
+                             "2", "--cases", "-5")
+    assert code == 2 and out == "" and "--cases" in err
+    # negative degree bound
+    code, out, _ = run_cli(capsys, "check", "lemma3", "--k", "1", "--level",
+                           "2", "--degree-bound", "-1")
+    assert code == 2 and out == ""
 
 
 def test_byte_reproducibility(capsys):
