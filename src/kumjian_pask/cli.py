@@ -25,7 +25,8 @@ from .algebra import Window, enumerate_basis, kp_mul, kp_star
 from .freealg import Element, ring_from_spec
 from .kgraph import KGraphError, StandardKGraph
 from .rewrite import TraceStep, normalize
-from .syntax import ElementSyntaxError, format_element, format_word, parse_element
+from .syntax import (ElementSyntaxError, format_element, format_letter,
+                     format_word, parse_element)
 
 
 class UsageError(Exception):
@@ -80,8 +81,7 @@ def _element_arg(text: str, graph: StandardKGraph, ring) -> Element:
 def _element_payload(elem: Element) -> dict:
     return {
         "ring": elem.ring.name,
-        "terms": [{"coeff": elem.ring.coeff_str(c),
-                   "word": [w_text for w_text in format_word(w).split(" . ")]}
+        "terms": [{"coeff": str(c), "word": [format_letter(x) for x in w]}
                   for w, c in elem.sorted_terms()],
     }
 
@@ -205,12 +205,15 @@ def _run(args: argparse.Namespace) -> int:
     # check
     if args.cases < 0:
         raise UsageError(f"--cases must be >= 0, got {args.cases}")
+    if args.case_index is not None and args.case_index < 0:
+        raise UsageError(f"--case-index must be >= 0, got {args.case_index}")
     window = _parse_window(args.window, graph.k, args.degree_bound)
     if args.which == "all":
         reports = verify.run_all(graph, args.seed, args.cases, window, ring,
                                  args.case_index)
     elif args.which == "kp":
-        reports = [verify.check_kp_relations(graph, window, ring)]
+        reports = [verify.check_kp_relations(graph, window, ring,
+                                             args.case_index)]
     else:
         reports = [verify.CHECKS[args.which](graph, args.seed, args.cases,
                                              window, ring, args.case_index)]

@@ -13,7 +13,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .kgraph import Path
 
@@ -23,52 +23,46 @@ class RingMismatchError(ValueError):
 
 
 class Ring:
-    """Commutative ring with 1; element values are ints."""
+    """Commutative ring with 1 on int values: the integers when modulus is 0,
+    the integers mod modulus otherwise.  Every operation is the plain integer
+    one followed by the same reduction, from_int."""
 
     zero = 0
     one = 1
-
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+    modulus = 0
 
     def from_int(self, n: int) -> int:
-        raise NotImplementedError
+        return n % self.modulus if self.modulus else n
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def add(self, a: int, b: int) -> int:
+        return self.from_int(a + b)
 
-    def coeff_str(self, a: int) -> str:
-        return str(a)
+    def neg(self, a: int) -> int:
+        return self.from_int(-a)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.from_int(a * b)
+
+    def add_into(self, acc: dict, key, c: int) -> None:
+        """acc[key] += c, reduced; the entry is dropped when it becomes zero.
+        c may be any int (an unreduced product, say)."""
+        c = self.from_int(acc.get(key, 0) + c)
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash((type(self), self.modulus))
 
 
 class IntegerRing(Ring):
     """The ring of arbitrary-precision integers."""
 
     name = "int"
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, n):
-        return n
-
-    def __eq__(self, other):
-        return type(other) is IntegerRing
-
-    def __hash__(self):
-        return hash(IntegerRing)
 
     def __repr__(self):
         return "IntegerRing()"
@@ -85,24 +79,6 @@ class ModularRing(Ring):
     @property
     def name(self) -> str:
         return f"zmod:{self.modulus}"
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def from_int(self, n):
-        return n % self.modulus
-
-    def __eq__(self, other):
-        return type(other) is ModularRing and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash((ModularRing, self.modulus))
 
     def __repr__(self):
         return f"ModularRing({self.modulus})"
@@ -195,21 +171,17 @@ class Element:
     @classmethod
     def from_terms(cls, ring: Ring,
                    items: Iterable[tuple[Word, int]]) -> "Element":
+        """The sum of c * w; any int c is reduced into the ring."""
         acc: dict[Word, int] = {}
         for w, c in items:
             if not w:
                 raise ValueError("words must be nonempty")
-            c = ring.add(acc.get(w, ring.zero), c)
-            if c == ring.zero:
-                acc.pop(w, None)
-            else:
-                acc[w] = c
+            ring.add_into(acc, w, c)
         return cls(ring, acc)
 
     @classmethod
-    def from_word(cls, ring: Ring, w: Word, coeff: int | None = None) -> "Element":
-        c = ring.one if coeff is None else coeff
-        return cls.from_terms(ring, [(w, c)])
+    def from_word(cls, ring: Ring, w: Word, coeff: int = 1) -> "Element":
+        return cls.from_terms(ring, [(w, coeff)])
 
     def _require_ring(self, other: "Element") -> None:
         if self.ring != other.ring:
@@ -225,14 +197,9 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._require_ring(other)
         acc = dict(self.terms)
-        ring = self.ring
         for w, c in other.terms.items():
-            s = ring.add(acc.get(w, ring.zero), c)
-            if s == ring.zero:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return Element(ring, acc)
+            self.ring.add_into(acc, w, c)
+        return Element(self.ring, acc)
 
     def __neg__(self) -> "Element":
         ring = self.ring
@@ -242,15 +209,8 @@ class Element:
         return self + (-other)
 
     def scaled(self, coeff: int) -> "Element":
-        ring = self.ring
-        if coeff == ring.zero:
-            return Element.zero(ring)
-        acc = {}
-        for w, c in self.terms.items():
-            s = ring.mul(coeff, c)
-            if s != ring.zero:
-                acc[w] = s
-        return Element(ring, acc)
+        return Element.from_terms(
+            self.ring, ((w, coeff * c) for w, c in self.terms.items()))
 
     def __mul__(self, other: "Element") -> "Element":
         """Free product: bilinear extension of word concatenation."""
@@ -259,12 +219,7 @@ class Element:
         acc: dict[Word, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = ring.add(acc.get(w, ring.zero), ring.mul(c1, c2))
-                if s == ring.zero:
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                ring.add_into(acc, w1 + w2, c1 * c2)
         return Element(ring, acc)
 
     def star(self) -> "Element":
@@ -274,18 +229,10 @@ class Element:
 
     def convert(self, ring: Ring) -> "Element":
         """Reinterpret the coefficients in another ring via from_int."""
-        acc = {}
-        for w, c in self.terms.items():
-            s = ring.from_int(c)
-            if s != ring.zero:
-                acc[w] = s
-        return Element(ring, acc)
+        return Element.from_terms(ring, self.terms.items())
 
     def sorted_terms(self) -> list[tuple[Word, int]]:
         return sorted(self.terms.items(), key=lambda item: word_key(item[0]))
-
-    def words(self) -> Iterator[Word]:
-        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

@@ -88,13 +88,6 @@ def zero(k: int) -> Coords:
     return (0,) * k
 
 
-def basis_vector(k: int, i: int) -> Coords:
-    """The i-th standard basis vector of Z^k (i is 0-based)."""
-    if not 0 <= i < k:
-        raise KGraphError(f"basis index {i} out of range for k={k}")
-    return tuple(1 if j == i else 0 for j in range(k))
-
-
 def is_degree(a: Coords) -> bool:
     """True iff a lies in N^k."""
     return all(x >= 0 for x in a)

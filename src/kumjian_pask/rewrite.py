@@ -230,7 +230,7 @@ def apply_rule(graph: StandardKGraph, ring: Ring, w: Word,
             raise OrderingViolation(
                 f"{m.rule.value} produced a word of measure "
                 f"{word_measure(w2)} from {before}")
-    return Element.from_terms(ring, ((w2, ring.from_int(s)) for w2, s in rhs))
+    return Element.from_terms(ring, rhs)
 
 
 DEFAULT_STEP_GUARD = 10 ** 6
@@ -274,11 +274,7 @@ def normalize(graph: StandardKGraph, elem: Element, *,
         c = pending.pop(w)
         m = find_redex(w) if rng is None else _random_redex(w, rng)
         if m is None:
-            s = ring.add(done.get(w, ring.zero), c)
-            if s == ring.zero:
-                done.pop(w, None)
-            else:
-                done[w] = s
+            ring.add_into(done, w, c)
             continue
         steps += 1
         if steps > step_guard:
@@ -291,11 +287,7 @@ def normalize(graph: StandardKGraph, elem: Element, *,
             trace(TraceStep(m.rule, m.pos, mw,
                             tuple(word_measure(w2) for w2 in piece.terms)))
         for w2, c2 in piece.terms.items():
-            s = ring.add(pending.get(w2, ring.zero), ring.mul(c, c2))
-            if s == ring.zero:
-                pending.pop(w2, None)
-            else:
-                pending[w2] = s
+            ring.add_into(pending, w2, c * c2)
     return Element(ring, done)
 
 

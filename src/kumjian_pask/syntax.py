@@ -56,8 +56,7 @@ def format_word(w: Word) -> str:
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
-    ring = e.ring
-    return " + ".join(f"{ring.coeff_str(c)} * {format_word(w)}"
+    return " + ".join(f"{c} * {format_word(w)}"
                       for w, c in e.sorted_terms())
 
 
@@ -165,11 +164,10 @@ def _parse_word(sc: _Scanner, graph: StandardKGraph) -> Word:
     return tuple(letters)
 
 
-def _parse_term(sc: _Scanner, graph: StandardKGraph,
-                ring: Ring) -> tuple[Word, int]:
+def _parse_term(sc: _Scanner, graph: StandardKGraph) -> tuple[Word, int]:
     sc.skip_ws()
     mark = sc.pos
-    coeff = ring.one
+    coeff = 1
     if sc.peek() in "+-0123456789":
         try:
             value = sc.integer()
@@ -177,7 +175,7 @@ def _parse_term(sc: _Scanner, graph: StandardKGraph,
             value = None
         if value is not None:
             if sc.take("*"):
-                coeff = ring.from_int(value)
+                coeff = value
             else:
                 sc.pos = mark
                 raise ElementSyntaxError(sc.pos,
@@ -195,8 +193,8 @@ def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
         return Element.zero(ring)
     terms: list[tuple[Word, int]] = []
     sign = -1 if sc.take("-") else 1
-    w, c = _parse_term(sc, graph, ring)
-    terms.append((w, ring.mul(ring.from_int(sign), c)))
+    w, c = _parse_term(sc, graph)
+    terms.append((w, sign * c))
     while not sc.at_end():
         if sc.take("+"):
             sign = 1
@@ -204,6 +202,6 @@ def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
             sign = -1
         else:
             raise ElementSyntaxError(sc.pos, "expected '+' or '-'")
-        w, c = _parse_term(sc, graph, ring)
-        terms.append((w, ring.mul(ring.from_int(sign), c)))
+        w, c = _parse_term(sc, graph)
+        terms.append((w, sign * c))
     return Element.from_terms(ring, terms)

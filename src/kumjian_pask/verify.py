@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import canonical
 from .freealg import Element, IntegerRing, Ring, Word, letter
@@ -123,23 +124,28 @@ def _ghost_word(lam: Path, mu: Path) -> Word:
 # Identity checks
 # --------------------------------------------------------------------------
 
+def _report(name, seed, outcomes) -> CheckReport:
+    """The report over (index, case seed, outcome) triples, where an outcome
+    is None for a pass or (input text, detail) for a failure.  Cases are run
+    as the triples are drawn, so elapsed covers them."""
+    report = CheckReport(name=name, cases=0, seed=seed)
+    start = time.perf_counter()
+    for index, case_seed, outcome in outcomes:
+        report.cases += 1
+        if outcome is not None:
+            report.failures.append(CaseFailure(index, case_seed, *outcome))
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    report = CheckReport(name=name, cases=0, seed=seed)
-    start = time.perf_counter()
     indices = range(cases) if case_index is None else [case_index]
-    for i in indices:
-        rng = _case_rng(seed, name, i)
-        report.cases += 1
-        outcome = body(rng, graph, window, ring)
-        if outcome is not None:
-            input_text, detail = outcome
-            report.failures.append(CaseFailure(
-                index=i, case_seed=f"{seed}:{name}:{i}",
-                input_text=input_text, detail=detail))
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _report(name, seed, (
+        (i, f"{seed}:{name}:{i}",
+         body(_case_rng(seed, name, i), graph, window, ring))
+        for i in indices))
 
 
 def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
@@ -200,7 +206,7 @@ def check_lemma8(graph: StandardKGraph, seed: int, cases: int,
     no cases."""
     if (graph.k == graph.level == 1
             or _default_window(graph, window).degree_bound == 0):
-        return CheckReport(name="lemma8", cases=0, seed=seed)
+        cases, case_index = 0, None
 
     def body(rng, graph, window, ring):
         key = canonical.class_key(*_rand_reduced_pair(rng, graph, window))
@@ -268,7 +274,11 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
                   window: Window | None = None, ring: Ring | None = None,
                   case_index: int | None = None) -> CheckReport:
     """The sum over all non-all-ones extensions of degree n telescopes to
-    the staircase of single-non-one-entry extensions."""
+    the staircase of single-non-one-entry extensions.  With degree bound 0
+    there is no n to sample, and at level 1 every path is all ones, so both
+    sums are empty; the report then has no cases."""
+    if graph.level == 1 or _default_window(graph, window).degree_bound == 0:
+        cases, case_index = 0, None
 
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
@@ -349,29 +359,11 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 # Exhaustive defining-relation check
 # --------------------------------------------------------------------------
 
-def check_kp_relations(graph: StandardKGraph,
-                       window: Window | None = None,
-                       ring: Ring | None = None) -> CheckReport:
-    """Every defining-relation instance anchored in the window normalizes
-    to zero: vertex orthogonality/idempotency, unit laws and composition,
-    same-degree ghost products, and the vertex expansion identity with
-    |n| <= 2.  Path degrees are capped at |d| <= 2."""
-    window = _default_window(graph, window)
-    ring = ring if ring is not None else IntegerRing()
-    report = CheckReport(name="kp", cases=0, seed=0)
-    start = time.perf_counter()
+def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
+    """(family, element) for every defining-relation instance anchored in
+    the window, in a fixed order; each element must normalize to zero."""
     verts = window.vertices()
-    cap = min(window.degree_bound, 2)
-    degs = degrees_upto(graph.k, cap, 1)
-
-    def run(element: Element, label: str) -> None:
-        report.cases += 1
-        result = normalize(graph, element)
-        if not result.is_zero():
-            report.failures.append(CaseFailure(
-                index=report.cases - 1, case_seed="exhaustive",
-                input_text=label,
-                detail=f"normal form {format_element(result)} is not 0"))
+    degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
 
     def wrd(*letters) -> Element:
         return Element.from_word(ring, tuple(letters))
@@ -392,27 +384,24 @@ def check_kp_relations(graph: StandardKGraph,
             elem = wrd(lv, letter(graph.vertex(w)))
             if v == w:
                 elem = elem - wrd(lv)
-            run(elem, f"KP1 v={v} w={w}")
+            yield "KP1", elem
 
     for v in verts:
         for p in paths_from[v]:
             lp, gp = letter(p), letter(p, ghost=True)
             rv, sv = letter(graph.vertex(p.range)), letter(graph.vertex(p.source))
-            run(wrd(rv, lp) - wrd(lp), f"KP2 unit r(p)p p={format_word((lp,))}")
-            run(wrd(lp, sv) - wrd(lp), f"KP2 unit ps(p) p={format_word((lp,))}")
-            run(wrd(sv, gp) - wrd(gp), f"KP2 unit s(p)p* p={format_word((lp,))}")
-            run(wrd(gp, rv) - wrd(gp), f"KP2 unit p*r(p) p={format_word((lp,))}")
+            yield "KP2", wrd(rv, lp) - wrd(lp)
+            yield "KP2", wrd(lp, sv) - wrd(lp)
+            yield "KP2", wrd(sv, gp) - wrd(gp)
+            yield "KP2", wrd(gp, rv) - wrd(gp)
 
     for v in verts:
         for lam in paths_into[v]:
             for mu in paths_from[v]:
-                comp = letter(compose(lam, mu))
-                run(wrd(letter(lam), letter(mu)) - wrd(comp),
-                    f"KP2 compose {format_word((letter(lam), letter(mu)))}")
-                run(wrd(letter(mu, True), letter(lam, True))
-                    - wrd(letter(compose(lam, mu), True)),
-                    f"KP2 ghost compose "
-                    f"{format_word((letter(mu, True), letter(lam, True)))}")
+                yield "KP2", (wrd(letter(lam), letter(mu))
+                              - wrd(letter(compose(lam, mu))))
+                yield "KP2", (wrd(letter(mu, True), letter(lam, True))
+                              - wrd(letter(compose(lam, mu), True)))
 
     for v in verts:
         for n in degs:
@@ -424,17 +413,40 @@ def check_kp_relations(graph: StandardKGraph,
                     elem = wrd(letter(lam, True), letter(mu))
                     if lam == mu:
                         elem = elem - wrd(letter(graph.vertex(lam.source)))
-                    run(elem, f"KP3 {format_word((letter(lam, True), letter(mu)))}")
+                    yield "KP3", elem
 
     for v in verts:
         for n in degs:
             elem = wrd(letter(graph.vertex(v)))
             for lam in graph.paths(v, n):
                 elem = elem - wrd(letter(lam), letter(lam, True))
-            run(elem, f"KP4 v={v} n={n}")
+            yield "KP4", elem
 
-    report.elapsed = time.perf_counter() - start
-    return report
+
+def check_kp_relations(graph: StandardKGraph,
+                       window: Window | None = None,
+                       ring: Ring | None = None,
+                       case_index: int | None = None) -> CheckReport:
+    """Every defining-relation instance anchored in the window normalizes
+    to zero: vertex orthogonality/idempotency, unit laws and composition,
+    same-degree ghost products, and the vertex expansion identity with
+    |n| <= 2.  Path degrees are capped at |d| <= 2.  With case_index only
+    that instance (counted in the same fixed order) is normalized."""
+    window = _default_window(graph, window)
+    ring = ring if ring is not None else IntegerRing()
+    instances = enumerate(_kp_instances(graph, window, ring))
+    if case_index is not None:
+        instances = islice(instances, case_index, case_index + 1)
+
+    def outcome(family: str, elem: Element):
+        result = normalize(graph, elem)
+        if result.is_zero():
+            return None
+        return (format_element(elem),
+                f"{family} normal form {format_element(result)} is not 0")
+
+    return _report("kp", 0, ((i, "exhaustive", outcome(family, elem))
+                             for i, (family, elem) in instances))
 
 
 CHECKS = {
@@ -451,5 +463,5 @@ def run_all(graph: StandardKGraph, seed: int, cases: int,
             case_index: int | None = None) -> list[CheckReport]:
     reports = [check(graph, seed, cases, window, ring, case_index)
                for check in CHECKS.values()]
-    reports.append(check_kp_relations(graph, window, ring))
+    reports.append(check_kp_relations(graph, window, ring, case_index))
     return reports

@@ -186,3 +186,31 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     assert lines[2] == ("repro: kpalg check lemma8 --k 2 --level 2 --seed 9 "
                         "--cases 4 --case-index 0 --window -3..3 "
                         "--degree-bound 3")
+
+
+def test_case_index_runs_one_kp_case(capsys):
+    window = ("--window", "-1..1", "--degree-bound", "2")
+    code, out, _ = run_cli(capsys, "check", "kp", "--k", "1", "--level", "2",
+                           *window, "--case-index", "3")
+    assert code == 0 and out == "name=kp cases=1 failures=0 seed=0\n"
+    code, out, _ = run_cli(capsys, "check", "all", "--k", "1", "--level", "2",
+                           *window, "--case-index", "0",
+                           "--format", "structured")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [(r["name"], r["cases"]) for r in reports] == [
+        (name, 1) for name in ("lemma3", "lemma8", "lemma12", "lemma13",
+                               "confluence", "kp")]
+    code, out, err = run_cli(capsys, "check", "kp", "--k", "1", "--level",
+                             "2", "--case-index", "-1")
+    assert code == 2 and out == "" and "--case-index" in err
+
+
+def test_check_all_degree_bound_zero(capsys):
+    # no degree n >= 1 to sample: lemma8 and lemma13 report no cases
+    code, out, _ = run_cli(capsys, "check", "all", "--k", "2", "--level", "2",
+                           "--degree-bound", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert "name=lemma8 cases=0 failures=0 seed=0" in lines
+    assert "name=lemma13 cases=0 failures=0 seed=0" in lines

@@ -20,9 +20,11 @@ def test_randomized_checks_pass_everywhere(check):
     for graph in GRAPHS:
         report = check(graph, seed=11, cases=40)
         assert report.passed, report.text_lines()
-        # with k = level = 1 there is no reduced pair for lemma8 to sample
-        no_pairs = check is check_lemma8 and graph.k == graph.level == 1
-        assert report.cases == (0 if no_pairs else 40)
+        # with k = level = 1 there is no reduced pair for lemma8 to sample;
+        # at level 1 both of lemma13's sums are empty
+        no_cases = ((check is check_lemma8 and graph.k == graph.level == 1)
+                    or (check is check_lemma13 and graph.level == 1))
+        assert report.cases == (0 if no_cases else 40)
 
 
 def test_kp_relations_pass_everywhere():
@@ -182,3 +184,22 @@ def test_confluence_sampler_covers_every_rule_pair_family():
         no_r5 = {"15", "25", "35"} if k == 1 or level == 1 else set()
         expected = every - no_r5
         assert seen == expected, (k, level, sorted(expected - seen))
+
+
+def test_kp_failure_names_element_and_family(monkeypatch):
+    from kumjian_pask import verify
+
+    graph = StandardKGraph(1, 2)
+    window = uniform_window(1, -1, 1, 2)
+    # an engine that reduces nothing: every relation instance fails
+    monkeypatch.setattr(verify, "normalize", lambda graph, elem: elem)
+    full = check_kp_relations(graph, window)
+    assert full.cases == len(full.failures) == 79
+    assert [f.index for f in full.failures] == list(range(79))
+    assert {f.detail.split()[0] for f in full.failures} == {
+        "KP1", "KP2", "KP3", "KP4"}
+    third = full.failures[3]
+    assert third.input_text == "1 * v(0) . v(-1)"
+    assert third.detail == "KP1 normal form 1 * v(0) . v(-1) is not 0"
+    one = check_kp_relations(graph, window, case_index=3)
+    assert one.cases == 1 and one.failures == [third]
