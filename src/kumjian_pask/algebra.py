@@ -50,8 +50,9 @@ class Window:
         return list(itertools.product(*(range(a, b + 1)
                                         for a, b in zip(self.lo, self.hi))))
 
-    def degrees(self, min_norm: int = 1) -> list[Coords]:
-        return degrees_upto(self.k, self.degree_bound, min_norm)
+    def degrees(self) -> list[Coords]:
+        """The nonzero path degrees within the bound, ordered by (|n|, n)."""
+        return degrees_upto(self.k, self.degree_bound, 1)
 
 
 def uniform_window(k: int, lo: int, hi: int, degree_bound: int) -> Window:
@@ -106,44 +107,30 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
     if shape != "all" and shape not in SHAPES:
         raise KGraphError(f"unknown shape {shape!r}")
     shapes = SHAPES if shape == "all" else (shape,)
-    out: list[Word] = []
-    verts = window.vertices()
-    if "vertex" in shapes:
-        for v in verts:
-            if range_left is not None and v != range_left:
-                continue
-            out.append((letter(graph.vertex(v)),))
+    lefts = [v for v in window.vertices()
+             if range_left is None or v == range_left]
+    paths = []
     if "path" in shapes or "ghost" in shapes:
-        singles: list[Word] = []
-        ghosts: list[Word] = []
-        for v in verts:
-            if range_left is not None and v != range_left:
-                continue
-            for n in window.degrees():
-                for p in graph.paths(v, n):
-                    if not window.contains(p.source):
-                        continue
-                    if "path" in shapes:
-                        singles.append((letter(p),))
-                    if "ghost" in shapes:
-                        ghosts.append((letter(p, ghost=True),))
-        if "path" in shapes:
-            out.extend(singles)
-        if "ghost" in shapes:
-            out.extend(ghosts)
+        paths = [p for v in lefts for n in window.degrees()
+                 for p in graph.paths(v, n) if window.contains(p.source)]
+    out: list[Word] = []
+    if "vertex" in shapes:
+        out.extend((letter(graph.vertex(v)),) for v in lefts)
+    if "path" in shapes:
+        out.extend((letter(p),) for p in paths)
+    if "ghost" in shapes:
+        out.extend((letter(p, ghost=True),) for p in paths)
     if "pair" in shapes:
-        out.extend(_pair_words(graph, window, range_left, range_right))
+        out.extend(_pair_words(graph, window, lefts, range_right))
     return out
 
 
-def _pair_words(graph: StandardKGraph, window: Window,
-                range_left: Coords | None,
+def _pair_words(graph: StandardKGraph, window: Window, lefts: list[Coords],
                 range_right: Coords | None) -> list[Word]:
+    """Representative pair words whose left range is one of lefts."""
     levels = range(1, graph.level + 1)
     out: list[Word] = []
-    for rl in window.vertices():
-        if range_left is not None and rl != range_left:
-            continue
+    for rl in lefts:
         for rr in window.vertices():
             if range_right is not None and rr != range_right:
                 continue

@@ -43,11 +43,6 @@ class ClassKey:
     left_levels: Coords
     right_levels: Coords
 
-    @property
-    def source_sum(self) -> int:
-        """Coordinate sum of any member's common source."""
-        return norm(self.left_range) - len(self.left_levels)
-
 
 def check_pair(lam: Path, mu: Path) -> None:
     """Validate membership in the ambient pair set (nonzero, same source)."""
@@ -76,7 +71,7 @@ def _key_shape(key: ClassKey) -> tuple[Coords, int]:
     """(meet of ranges, deficit) for the source candidates of a key."""
     if not key.left_levels or not key.right_levels:
         raise UnrealizableKeyError("level vectors must be nonempty")
-    t = key.source_sum
+    t = norm(key.left_range) - len(key.left_levels)  # |s| for any member s
     if norm(key.right_range) - len(key.right_levels) != t:
         raise UnrealizableKeyError("inconsistent source coordinate sums")
     c = meet(key.left_range, key.right_range)
@@ -120,10 +115,7 @@ def representative(key: ClassKey) -> PathPair:
 
 def in_R(lam: Path, mu: Path) -> bool:
     """True iff the pair is the canonical representative of its class."""
-    if not in_A(lam, mu):
-        raise PairError("pair is not reduced (not in A)")
-    return lam.source == rep_source(
-        ClassKey(lam.range, mu.range, lam.levels, mu.levels))
+    return lam.source == rep_source(class_key(lam, mu))
 
 
 def pair_kind(lam: Path, mu: Path) -> str | None:
@@ -134,7 +126,8 @@ def pair_kind(lam: Path, mu: Path) -> str | None:
         return None
     if not in_A(lam, mu):
         return "unreduced"
-    return "representative" if in_R(lam, mu) else "nonrep"
+    key = ClassKey(lam.range, mu.range, lam.levels, mu.levels)
+    return "representative" if lam.source == rep_source(key) else "nonrep"
 
 
 def equivalent(a: PathPair, b: PathPair) -> bool:

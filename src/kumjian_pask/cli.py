@@ -8,7 +8,8 @@
 
 k and level are always explicit.  Element arguments starting with '@' are
 read from the named file.  Exit status: 0 on success or passing checks, 1
-on check failure, 2 on usage errors (including malformed elements).
+on check failure, 2 on usage errors (including malformed elements and a
+--case-index that names no case of the run).
 Output is byte-reproducible from flags and seed; no environment variables
 are consulted.
 """
@@ -152,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-bound", type=int, default=3,
                    help="sampling degree bound (default 3)")
     p.add_argument("--case-index", type=int, default=None,
-                   help="run a single case index (for reproduction)")
+                   help="run only the case with this index, which must be "
+                        "a case of the run (for reproduction)")
     return top
 
 
@@ -261,7 +263,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _run(args)
-    except UsageError as exc:
+    except (UsageError, verify.CaseIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

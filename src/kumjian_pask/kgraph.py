@@ -84,10 +84,6 @@ def monus(a: Coords, b: Coords) -> Coords:
     return tuple(x - y if x > y else 0 for x, y in zip(a, b))
 
 
-def zero(k: int) -> Coords:
-    return (0,) * k
-
-
 def is_degree(a: Coords) -> bool:
     """True iff a lies in N^k."""
     return all(x >= 0 for x in a)

@@ -9,7 +9,7 @@ Five rewrite rules act on adjacent letter pairs:
                      pair set of minimal common extensions;
   R4_EXPAND          rewrite a path/ghost pair carrying a common trailing
                      all-ones factor of degree n via the vertex expansion
-                     identity (the sum over all degree-n extensions);
+                     identity (an S-set sum over degree-n extensions);
   R5_REPRESENTATIVE  replace a reduced but non-canonical path/ghost pair by
                      the canonical representative of its class.
 
@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from . import canonical
 from .freealg import Element, Letter, Ring, Word, letter, word_key
-from .kgraph import (Coords, Path, StandardKGraph, compose, factorize, meet,
-                     norm, trailing_ones, vadd, vsub)
+from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
+                     factorize, leq, meet, trailing_ones, vsub)
 
 
 class RewriteFault(RuntimeError):
@@ -124,10 +123,7 @@ def valid_expansions(lam: Path, mu: Path) -> list[Coords]:
     run of 1-entries.  Ordered by (|n|, n)."""
     cap = meet(lam.degree, mu.degree)
     run = min(trailing_ones(lam.levels), trailing_ones(mu.levels))
-    out = [n for n in product(*(range(c + 1) for c in cap))
-           if 0 < sum(n) <= run]
-    out.sort(key=lambda n: (sum(n), n))
-    return out
+    return [n for n in degrees_upto(len(cap), run, 1) if leq(n, cap)]
 
 
 def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
@@ -135,10 +131,8 @@ def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
     x, y = w[pos], w[pos + 1]
     if _inner(x) != _outer(y):
         return RedexMatch(RuleId.R2_ORTHO, pos)
-    x_word, y_word = not x.ghost, not y.ghost
-    if x_word and y_word:
-        return RedexMatch(RuleId.R1_COMPOSE, pos)
-    if (x.ghost or x.path.is_vertex) and (y.ghost or y.path.is_vertex):
+    # same tag, or a vertex on either side (vertex letters are never ghosts)
+    if x.ghost == y.ghost or x.path.is_vertex or y.path.is_vertex:
         return RedexMatch(RuleId.R1_COMPOSE, pos)
     if x.ghost:
         # ghost * path, both of nonzero degree, equal ranges
@@ -185,6 +179,10 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
     pos = m.pos
     x, y = w[pos], w[pos + 1]
     left, right = w[:pos], w[pos + 2:]
+
+    def pair(a: Path, b: Path) -> Word:
+        return left + (letter(a), letter(b, ghost=True)) + right
+
     if m.rule is RuleId.R2_ORTHO:
         return []
     if m.rule is RuleId.R1_COMPOSE:
@@ -194,26 +192,21 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
             merged = letter(compose(y.path, x.path), ghost=True)
         return [(left + (merged,) + right, 1)]
     if m.rule is RuleId.R3_GHOST_PATH:
-        return [(left + (letter(a), letter(b, ghost=True)) + right, 1)
-                for a, b in graph.s_of(x.path, y.path)]
+        return [(pair(a, b), 1) for a, b in graph.s_of(x.path, y.path)]
     if m.rule is RuleId.R5_REPRESENTATIVE:
         lam, mu = canonical.representative(canonical.class_key(x.path, y.path))
-        return [(left + (letter(lam), letter(mu, ghost=True)) + right, 1)]
-    # R4: strip the all-ones factor of degree n and expand
+        return [(pair(lam, mu), 1)]
+    # R4: strip the all-ones factor of degree n and expand over the S-set of
+    # the stripped pair, whose first member is the all-ones extension (s_set
+    # enumerates the shared bottom tuple lexicographically)
     n = m.expand_degree
     if n is None or n not in valid_expansions(x.path, y.path):
         raise RewriteFault(f"invalid R4 expansion degree {n}")
     lam = factorize(x.path, vsub(x.path.degree, n), n)[0]
     mu = factorize(y.path, vsub(y.path.degree, n), n)[0]
-    v = vadd(x.path.source, n)
-    ones = (1,) * norm(n)
-    out = [(left + (letter(lam), letter(mu, ghost=True)) + right, 1)]
-    for xi in graph.paths(v, n):
-        if xi.levels == ones:
-            continue
-        out.append((left + (letter(compose(lam, xi)),
-                            letter(compose(mu, xi), ghost=True)) + right, -1))
-    return out
+    ext = graph.s_set(x.path.range, y.path.range, x.path.degree,
+                      y.path.degree, lam.levels, mu.levels)
+    return [(pair(lam, mu), 1)] + [(pair(a, b), -1) for a, b in ext[1:]]
 
 
 def apply_rule(graph: StandardKGraph, ring: Ring, w: Word,
@@ -253,16 +246,12 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     ring = elem.ring
     pending = dict(elem.terms)
     done: dict[Word, int] = {}
-    keys: dict[Word, tuple] = {}
-    measures: dict[Word, WordMeasure] = {}
+    keys: dict[Word, tuple[WordMeasure, tuple]] = {}
 
-    def mkey(w: Word) -> tuple:
+    def mkey(w: Word) -> tuple[WordMeasure, tuple]:
         r = keys.get(w)
         if r is None:
-            mw = measures.get(w)
-            if mw is None:
-                mw = measures[w] = word_measure(w)
-            r = keys[w] = (mw, word_key(w))
+            r = keys[w] = (word_measure(w), word_key(w))
         return r
 
     steps = 0
@@ -281,11 +270,8 @@ def normalize(graph: StandardKGraph, elem: Element, *,
             raise TerminationFault(f"step guard {step_guard} exhausted")
         piece = apply_rule(graph, ring, w, m)
         if trace is not None:
-            mw = measures.get(w)
-            if mw is None:
-                mw = word_measure(w)
-            trace(TraceStep(m.rule, m.pos, mw,
-                            tuple(word_measure(w2) for w2 in piece.terms)))
+            trace(TraceStep(m.rule, m.pos, mkey(w)[0],
+                            tuple(mkey(w2)[0] for w2 in piece.terms)))
         for w2, c2 in piece.terms.items():
             ring.add_into(pending, w2, c * c2)
     return Element(ring, done)

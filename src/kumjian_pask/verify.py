@@ -96,11 +96,11 @@ def _rand_levels(rng: random.Random, graph: StandardKGraph,
 
 
 def _rand_path(rng: random.Random, graph: StandardKGraph, window: Window,
-               lo_norm: int = 0, hi_norm: int | None = None,
+               hi_norm: int | None = None,
                range_v: Coords | None = None,
                source_v: Coords | None = None) -> Path:
     hi = min(window.degree_bound, 3) if hi_norm is None else hi_norm
-    n = _rand_degree(rng, graph.k, hi, lo_norm)
+    n = _rand_degree(rng, graph.k, hi)
     if range_v is not None:
         r = range_v
     elif source_v is not None:
@@ -138,14 +138,30 @@ def _report(name, seed, outcomes) -> CheckReport:
     return report
 
 
+class CaseIndexError(ValueError):
+    """A case index that names no case of the run."""
+
+
+def _numbered(name, cases, case_index):
+    """(index, case) for every case of a run, or for the one at case_index
+    only; raises CaseIndexError if the run has no case at that index."""
+    numbered = enumerate(cases)
+    if case_index is None:
+        return numbered
+    chosen = list(islice(numbered, case_index, case_index + 1))
+    if not chosen:
+        raise CaseIndexError(f"case index {case_index} names no case of "
+                             f"this {name} run")
+    return chosen
+
+
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    indices = range(cases) if case_index is None else [case_index]
     return _report(name, seed, (
         (i, f"{seed}:{name}:{i}",
          body(_case_rng(seed, name, i), graph, window, ring))
-        for i in indices))
+        for i, _ in _numbered(name, range(cases), case_index)))
 
 
 def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
@@ -158,8 +174,8 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
     def body(rng, graph, window, ring):
         hi = min(window.degree_bound, 3)
         v = _rand_vertex(rng, window)
-        lam = _rand_path(rng, graph, window, 0, hi, range_v=v)
-        mu = _rand_path(rng, graph, window, 0, hi, range_v=v)
+        lam = _rand_path(rng, graph, window, hi, range_v=v)
+        mu = _rand_path(rng, graph, window, hi, range_v=v)
         extra = _rand_degree(rng, graph.k, 1)
         q = vadd(join(lam.degree, mu.degree), extra)
         lhs = Element.from_word(ring, _ghost_word(lam, mu))
@@ -283,8 +299,8 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
         n = _rand_degree(rng, graph.k, min(window.degree_bound, 3), 1)
-        lam = _rand_path(rng, graph, window, 0, 2, source_v=v)
-        mu = _rand_path(rng, graph, window, 0, 2, source_v=v)
+        lam = _rand_path(rng, graph, window, 2, source_v=v)
+        mu = _rand_path(rng, graph, window, 2, source_v=v)
         ones = (1,) * norm(n)
         lhs = Element.from_terms(ring, [
             (_pair_word(compose(lam, xi), compose(mu, xi)), ring.one)
@@ -434,9 +450,7 @@ def check_kp_relations(graph: StandardKGraph,
     that instance (counted in the same fixed order) is normalized."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    instances = enumerate(_kp_instances(graph, window, ring))
-    if case_index is not None:
-        instances = islice(instances, case_index, case_index + 1)
+    instances = _numbered("kp", _kp_instances(graph, window, ring), case_index)
 
     def outcome(family: str, elem: Element):
         result = normalize(graph, elem)

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from kumjian_pask import verify
 from kumjian_pask.cli import main
 
 
@@ -166,8 +169,6 @@ def test_byte_reproducibility(capsys):
 
 
 def test_check_failure_exits_one(capsys, monkeypatch):
-    from kumjian_pask import verify
-
     def broken_check(graph, seed, cases, window=None, ring=None,
                      case_index=None):
         report = verify.CheckReport(name="lemma8", cases=cases, seed=seed)
@@ -187,6 +188,14 @@ def test_check_failure_exits_one(capsys, monkeypatch):
                         "--cases 4 --case-index 0 --window -3..3 "
                         "--degree-bound 3")
 
+    # a check's own bug is not turned into a usage error
+    def crashing_check(*args):
+        raise IndexError("bug in a check")
+
+    monkeypatch.setitem(verify.CHECKS, "lemma8", crashing_check)
+    with pytest.raises(IndexError):
+        main(["check", "lemma8", "--k", "2", "--level", "2"])
+
 
 def test_case_index_runs_one_kp_case(capsys):
     window = ("--window", "-1..1", "--degree-bound", "2")
@@ -204,6 +213,15 @@ def test_case_index_runs_one_kp_case(capsys):
     code, out, err = run_cli(capsys, "check", "kp", "--k", "1", "--level",
                              "2", "--case-index", "-1")
     assert code == 2 and out == "" and "--case-index" in err
+    # the index must name a case of the run: kp has 79 instances here
+    code, out, _ = run_cli(capsys, "check", "kp", "--k", "1", "--level", "2",
+                           *window, "--case-index", "78")
+    assert code == 0 and out == "name=kp cases=1 failures=0 seed=0\n"
+    for argv in (("kp", *window, "--case-index", "79"),
+                 ("lemma3", "--cases", "5", "--case-index", "17")):
+        code, out, err = run_cli(capsys, "check", *argv, "--k", "1",
+                                 "--level", "2")
+        assert code == 2 and out == "" and argv[0] in err
 
 
 def test_check_all_degree_bound_zero(capsys):

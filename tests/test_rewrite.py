@@ -4,15 +4,16 @@ import random
 
 import pytest
 
+from kumjian_pask import rewrite
 from kumjian_pask.algebra import is_basis_word
 from kumjian_pask.freealg import Element, IntegerRing, letter
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  factorize, leq, meet, norm, vadd, vsub,
                                  vertex)
-from kumjian_pask.rewrite import (RedexMatch, RuleId, TerminationFault,
-                                  all_redexes, apply_rule, find_redex,
-                                  match_at, normalize, valid_expansions,
-                                  word_measure)
+from kumjian_pask.rewrite import (OrderingViolation, RedexMatch, RuleId,
+                                  TerminationFault, all_redexes, apply_rule,
+                                  find_redex, match_at, normalize,
+                                  valid_expansions, word_measure)
 
 ZZ = IntegerRing()
 G22 = StandardKGraph(2, 2)
@@ -111,11 +112,49 @@ def test_apply_rule_r4_expansion():
     assert got == expected
 
 
+def test_r4_matches_vertex_expansion_definition():
+    # every valid R4 instance equals lam' mu'* - sum over xi != 1 of
+    # (lam' xi)(mu' xi)*, with xi running over graph.paths of degree n
+    g = StandardKGraph(2, 3)
+    cases = [
+        ((), Path((1, 1), (0, 0), (1, 1)), Path((1, 1), (0, 0), (1, 1)), ()),
+        ((letter(Path((3, 1), (2, 1), (2,))),),
+         Path((2, 1), (0, 0), (3, 1, 1)), Path((1, 2), (0, 0), (2, 1, 1)), ()),
+        ((), Path((2, 1), (0, 0), (2, 1, 1)), Path((2, 0), (0, 0), (1, 1)),
+         (letter(Path((2, 1), (2, 0), (3,)), ghost=True),)),
+    ]
+    norms = set()
+    for left, lam, mu, right in cases:
+        word = left + (letter(lam), letter(mu, ghost=True)) + right
+        for n in valid_expansions(lam, mu):
+            norms.add(norm(n))
+            lam1 = factorize(lam, vsub(lam.degree, n), n)[0]
+            mu1 = factorize(mu, vsub(mu.degree, n), n)[0]
+            terms = [(left + (letter(lam1), letter(mu1, ghost=True)) + right, 1)]
+            for xi in g.paths(lam1.source, n):
+                if xi.levels != (1,) * norm(n):
+                    terms.append((left + (letter(compose(lam1, xi)),
+                                          letter(compose(mu1, xi), ghost=True))
+                                  + right, -1))
+            m = RedexMatch(RuleId.R4_EXPAND, len(left), expand_degree=n)
+            assert apply_rule(g, ZZ, word, m) == Element.from_terms(ZZ, terms)
+    assert norms == {1, 2}
+
+
 def test_apply_rule_rejects_stale_match():
     v = vertex((0, 0))
     with pytest.raises(Exception):
         apply_rule(G22, ZZ, (letter(v), letter(v)),
                    RedexMatch(RuleId.R3_GHOST_PATH, 0))
+
+
+def test_apply_rule_raises_ordering_violation(monkeypatch):
+    # a right-hand side whose measure does not decrease is refused
+    lam = Path((1, 0), (0, 0), (1,))
+    word = (letter(lam), letter(lam, ghost=True))
+    monkeypatch.setattr(rewrite, "_rhs_words", lambda graph, w, m: [(w, 1)])
+    with pytest.raises(OrderingViolation):
+        apply_rule(G22, ZZ, word, find_redex(word))
 
 
 def test_normalize_spec_examples():
