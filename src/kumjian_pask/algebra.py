@@ -5,9 +5,11 @@ recognition, and windowed basis enumeration.
 The basis consists of the vertices, the nonzero-degree paths, their
 ghosts, and the products path * ghost over canonical representative pairs.
 Since the vertex set is the whole lattice, every enumeration is restricted
-to an explicit window; pair words are enumerated through class keys whose
-ranges lie in the window, skipping keys whose representative source falls
-outside it, so pair counts are window-relative.
+to an explicit window and built from its paths (Window.paths).  Pair words
+are the same-source path * ghost words over those paths that basis_shape
+accepts, listed in class-key order.  A class contributes its word only
+when its representative's source lies in the window, so pair counts are
+window-relative.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import canonical
-from .freealg import Element, Word, letter
-from .kgraph import (Coords, KGraphError, StandardKGraph, leq, norm,
+from .freealg import Element, Word, letter, pair_word
+from .kgraph import (Coords, KGraphError, Path, StandardKGraph, leq,
                      degrees_upto)
 from .rewrite import normalize
 
@@ -53,6 +55,12 @@ class Window:
     def degrees(self) -> list[Coords]:
         """The nonzero path degrees within the bound, ordered by (|n|, n)."""
         return degrees_upto(self.k, self.degree_bound, 1)
+
+    def paths(self, graph: StandardKGraph) -> list[Path]:
+        """Every path with both endpoints in the window and a degree from
+        degrees(), ordered by range, then degree, then level vector."""
+        return [p for v in self.vertices() for n in self.degrees()
+                for p in graph.paths(v, n) if self.contains(p.source)]
 
 
 def uniform_window(k: int, lo: int, hi: int, degree_bound: int) -> Window:
@@ -107,47 +115,27 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
     if shape != "all" and shape not in SHAPES:
         raise KGraphError(f"unknown shape {shape!r}")
     shapes = SHAPES if shape == "all" else (shape,)
-    lefts = [v for v in window.vertices()
-             if range_left is None or v == range_left]
-    paths = []
-    if "path" in shapes or "ghost" in shapes:
-        paths = [p for v in lefts for n in window.degrees()
-                 for p in graph.paths(v, n) if window.contains(p.source)]
+    paths = window.paths(graph)
+    lams = [p for p in paths if range_left in (None, p.range)]
     out: list[Word] = []
     if "vertex" in shapes:
-        out.extend((letter(graph.vertex(v)),) for v in lefts)
+        out.extend((letter(graph.vertex(v)),) for v in window.vertices()
+                   if range_left in (None, v))
     if "path" in shapes:
-        out.extend((letter(p),) for p in paths)
+        out.extend((letter(p),) for p in lams)
     if "ghost" in shapes:
-        out.extend((letter(p, ghost=True),) for p in paths)
+        out.extend((letter(p, ghost=True),) for p in lams)
     if "pair" in shapes:
-        out.extend(_pair_words(graph, window, lefts, range_right))
-    return out
-
-
-def _pair_words(graph: StandardKGraph, window: Window, lefts: list[Coords],
-                range_right: Coords | None) -> list[Word]:
-    """Representative pair words whose left range is one of lefts."""
-    levels = range(1, graph.level + 1)
-    out: list[Word] = []
-    for rl in lefts:
-        for rr in window.vertices():
-            if range_right is not None and rr != range_right:
-                continue
-            shift = norm(rr) - norm(rl)
-            for a in range(1, window.degree_bound + 1):
-                b = a + shift
-                if not 1 <= b <= window.degree_bound:
-                    continue
-                for lvl in itertools.product(levels, repeat=a):
-                    for lvr in itertools.product(levels, repeat=b):
-                        key = canonical.ClassKey(rl, rr, lvl, lvr)
-                        try:
-                            src = canonical.rep_source(key)
-                        except canonical.UnrealizableKeyError:
-                            continue
-                        if not window.contains(src):
-                            continue
-                        lam, mu = canonical.pair_for_source(key, src)
-                        out.append((letter(lam), letter(mu, ghost=True)))
+        mus: dict[Coords, list[Path]] = {}
+        for p in paths:
+            if range_right in (None, p.range):
+                mus.setdefault(p.source, []).append(p)
+        pairs = [w for lam in lams for mu in mus.get(lam.source, ())
+                 if basis_shape(w := pair_word(lam, mu)) == "pair"]
+        # class-key order (ranges, |lam|, level vectors); a key has one
+        # representative, so no two words tie
+        pairs.sort(key=lambda w: (w[0].path.range, w[1].path.range,
+                                  len(w[0].path.levels), w[0].path.levels,
+                                  w[1].path.levels))
+        out.extend(pairs)
     return out

@@ -19,9 +19,8 @@ work equally well; determinism is all that matters downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .kgraph import Coords, Path, meet, norm
+from .kgraph import Coords, Path, degrees_upto, meet, norm, vsub
 
 PathPair = tuple[Path, Path]
 
@@ -95,12 +94,8 @@ def rep_source(key: ClassKey) -> Coords:
 def member_sources(key: ClassKey) -> list[Coords]:
     """All valid member sources, lexicographically descending (first = rep)."""
     c, deficit = _key_shape(key)
-    k = len(c)
-    drops = [t for t in product(range(deficit + 1), repeat=k)
-             if sum(t) == deficit]
-    sources = [tuple(ci - ti for ci, ti in zip(c, t)) for t in drops]
-    sources.sort(reverse=True)
-    return sources
+    return sorted((vsub(c, t) for t in degrees_upto(len(c), deficit, deficit)),
+                  reverse=True)
 
 
 def pair_for_source(key: ClassKey, source: Coords) -> PathPair:

@@ -141,6 +141,11 @@ def letter_key(x: Letter) -> tuple:
 Word = tuple[Letter, ...]
 
 
+def pair_word(lam: Path, mu: Path) -> Word:
+    """The two-letter word lam . mu* (letters canonicalize vertices)."""
+    return (letter(lam), letter(mu, ghost=True))
+
+
 def word_star(w: Word) -> Word:
     """Reverse the word and swap path/ghost tags."""
     return tuple(star_letter(x) for x in reversed(w))

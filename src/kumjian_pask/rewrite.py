@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from . import canonical
-from .freealg import Element, Letter, Ring, Word, letter, word_key
+from .freealg import Element, Letter, Ring, Word, letter, pair_word, word_key
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
                      factorize, leq, meet, trailing_ones, vsub)
 
@@ -181,7 +181,7 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
     left, right = w[:pos], w[pos + 2:]
 
     def pair(a: Path, b: Path) -> Word:
-        return left + (letter(a), letter(b, ghost=True)) + right
+        return left + pair_word(a, b) + right
 
     if m.rule is RuleId.R2_ORTHO:
         return []

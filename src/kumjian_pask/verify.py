@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import canonical
-from .freealg import Element, IntegerRing, Ring, Word, letter
+from .freealg import Element, IntegerRing, Ring, Word, letter, pair_word
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
-                     join, meet, norm, vadd, vsub)
+                     join, leq, meet, norm, vadd, vsub)
 from .rewrite import _inner, all_redexes, apply_rule, normalize
 from .algebra import Window, uniform_window
 from .syntax import format_element, format_word
@@ -110,16 +110,6 @@ def _rand_path(rng: random.Random, graph: StandardKGraph, window: Window,
     return Path(r, vsub(r, n), _rand_levels(rng, graph, norm(n)))
 
 
-def _pair_word(lam: Path, mu: Path) -> Word:
-    """The two-letter word lam . mu* (letters canonicalize vertices)."""
-    return (letter(lam), letter(mu, ghost=True))
-
-
-def _ghost_word(lam: Path, mu: Path) -> Word:
-    """The two-letter word lam* . mu."""
-    return (letter(lam, ghost=True), letter(mu))
-
-
 # --------------------------------------------------------------------------
 # Identity checks
 # --------------------------------------------------------------------------
@@ -178,12 +168,12 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
         mu = _rand_path(rng, graph, window, hi, range_v=v)
         extra = _rand_degree(rng, graph.k, 1)
         q = vadd(join(lam.degree, mu.degree), extra)
-        lhs = Element.from_word(ring, _ghost_word(lam, mu))
+        lhs = Element.from_word(ring, (letter(lam, ghost=True), letter(mu)))
         terms = []
         for alpha in graph.paths(lam.source, vsub(q, lam.degree)):
             for beta in graph.paths(mu.source, vsub(q, mu.degree)):
                 if compose(lam, alpha) == compose(mu, beta):
-                    terms.append((_pair_word(alpha, beta), ring.one))
+                    terms.append((pair_word(alpha, beta), ring.one))
         rhs = Element.from_terms(ring, terms)
         if normalize(graph, lhs) != normalize(graph, rhs):
             return (format_element(lhs),
@@ -233,8 +223,8 @@ def check_lemma8(graph: StandardKGraph, seed: int, cases: int,
             s1 = s2 = sources[0]
         a = canonical.pair_for_source(key, s1)
         b = canonical.pair_for_source(key, s2)
-        lhs = Element.from_word(ring, _pair_word(*a))
-        rhs = Element.from_word(ring, _pair_word(*b))
+        lhs = Element.from_word(ring, pair_word(*a))
+        rhs = Element.from_word(ring, pair_word(*b))
         if normalize(graph, lhs) != normalize(graph, rhs):
             return (f"{format_element(lhs)} vs {format_element(rhs)}",
                     "class members have different normal forms")
@@ -267,14 +257,13 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
             w = _rand_vertex(rng, window)
         cap = meet(m, n)
         candidates = [d for d in degrees_upto(graph.k, max(cap))
-                      if all(x <= y for x, y in zip(d, cap))
-                      and norm(d) <= shared]
+                      if leq(d, cap) and norm(d) <= shared]
         nhat = rng.choice(candidates) if candidates else (0,) * graph.k
         one = Element.from_terms(ring, [
-            (_pair_word(alpha, beta), ring.one)
+            (pair_word(alpha, beta), ring.one)
             for alpha, beta in graph.s_set(v, w, m, n, p, q)])
         two = Element.from_terms(ring, [
-            (_pair_word(alpha, beta), ring.one)
+            (pair_word(alpha, beta), ring.one)
             for alpha, beta in graph.s_set(v, w, vsub(m, nhat),
                                            vsub(n, nhat), p, q)])
         if normalize(graph, one) != normalize(graph, two):
@@ -299,11 +288,12 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
         n = _rand_degree(rng, graph.k, min(window.degree_bound, 3), 1)
-        lam = _rand_path(rng, graph, window, 2, source_v=v)
-        mu = _rand_path(rng, graph, window, 2, source_v=v)
+        hi = min(window.degree_bound, 2)
+        lam = _rand_path(rng, graph, window, hi, source_v=v)
+        mu = _rand_path(rng, graph, window, hi, source_v=v)
         ones = (1,) * norm(n)
         lhs = Element.from_terms(ring, [
-            (_pair_word(compose(lam, xi), compose(mu, xi)), ring.one)
+            (pair_word(compose(lam, xi), compose(mu, xi)), ring.one)
             for xi in graph.paths(v, n) if xi.levels != ones])
         indices = [i for i in range(graph.k) for _ in range(n[i])]
         terms = []
@@ -313,7 +303,7 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
                 delta[i] += 1
             for q in range(2, graph.level + 1):
                 xi = Path(v, vsub(v, tuple(delta)), (1,) * (p - 1) + (q,))
-                terms.append((_pair_word(compose(lam, xi), compose(mu, xi)),
+                terms.append((pair_word(compose(lam, xi), compose(mu, xi)),
                               ring.one))
         rhs = Element.from_terms(ring, terms)
         if normalize(graph, lhs) != normalize(graph, rhs):
@@ -378,21 +368,18 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
     """(family, element) for every defining-relation instance anchored in
     the window, in a fixed order; each element must normalize to zero."""
-    verts = window.vertices()
-    degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
+    capped = Window(window.lo, window.hi, min(window.degree_bound, 2))
+    verts, degs = capped.vertices(), capped.degrees()
+    paths = capped.paths(graph)
 
     def wrd(*letters) -> Element:
         return Element.from_word(ring, tuple(letters))
 
-    paths_from = {
-        v: [p for n in degs for p in graph.paths(v, n)
-            if window.contains(p.source)]
-        for v in verts
-    }
+    paths_from = {v: [] for v in verts}
     paths_into = {v: [] for v in verts}
-    for v in verts:
-        for p in paths_from[v]:
-            paths_into[p.source].append(p)
+    for p in paths:
+        paths_from[p.range].append(p)
+        paths_into[p.source].append(p)
 
     for v in verts:
         lv = letter(graph.vertex(v))
@@ -402,14 +389,13 @@ def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
                 elem = elem - wrd(lv)
             yield "KP1", elem
 
-    for v in verts:
-        for p in paths_from[v]:
-            lp, gp = letter(p), letter(p, ghost=True)
-            rv, sv = letter(graph.vertex(p.range)), letter(graph.vertex(p.source))
-            yield "KP2", wrd(rv, lp) - wrd(lp)
-            yield "KP2", wrd(lp, sv) - wrd(lp)
-            yield "KP2", wrd(sv, gp) - wrd(gp)
-            yield "KP2", wrd(gp, rv) - wrd(gp)
+    for p in paths:
+        lp, gp = letter(p), letter(p, ghost=True)
+        rv, sv = letter(graph.vertex(p.range)), letter(graph.vertex(p.source))
+        yield "KP2", wrd(rv, lp) - wrd(lp)
+        yield "KP2", wrd(lp, sv) - wrd(lp)
+        yield "KP2", wrd(sv, gp) - wrd(gp)
+        yield "KP2", wrd(gp, rv) - wrd(gp)
 
     for v in verts:
         for lam in paths_into[v]:
@@ -435,7 +421,7 @@ def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
         for n in degs:
             elem = wrd(letter(graph.vertex(v)))
             for lam in graph.paths(v, n):
-                elem = elem - wrd(letter(lam), letter(lam, True))
+                elem = elem - wrd(*pair_word(lam, lam))
             yield "KP4", elem
 
 

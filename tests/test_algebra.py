@@ -9,8 +9,10 @@ import pytest
 from kumjian_pask.algebra import (Window, basis_shape, enumerate_basis,
                                   is_basis_word, kp_mul, kp_star,
                                   uniform_window)
-from kumjian_pask.canonical import class_key, in_A
-from kumjian_pask.freealg import Element, IntegerRing, letter
+from kumjian_pask.canonical import (ClassKey, UnrealizableKeyError,
+                                    class_key, in_A, pair_for_source,
+                                    rep_source)
+from kumjian_pask.freealg import Element, IntegerRing, letter, pair_word
 from kumjian_pask.kgraph import (KGraphError, Path, StandardKGraph, compose,
                                  degrees_upto, join, norm, vadd, vsub, vertex)
 from kumjian_pask.rewrite import normalize
@@ -199,6 +201,52 @@ def test_pair_enumeration_matches_brute_force():
                         if mu.source != src or not in_A(lam, mu):
                             continue
                         key = class_key(lam, mu)
-                        from kumjian_pask.canonical import rep_source
                         if window.contains(rep_source(key)):
                             assert key in keys
+
+
+def _class_key_pairs(graph, window, range_left=None, range_right=None):
+    """Reference pair enumeration through class keys: every realizable key
+    with both ranges in the window and both level vectors within the degree
+    bound whose representative source lies in the window, in key order
+    (left range, right range, |left levels|, left levels, right levels)."""
+    levels = range(1, graph.level + 1)
+    out = []
+    for rl in window.vertices():
+        if range_left is not None and rl != range_left:
+            continue
+        for rr in window.vertices():
+            if range_right is not None and rr != range_right:
+                continue
+            shift = norm(rr) - norm(rl)
+            for a in range(1, window.degree_bound + 1):
+                b = a + shift
+                if not 1 <= b <= window.degree_bound:
+                    continue
+                for lvl in itertools.product(levels, repeat=a):
+                    for lvr in itertools.product(levels, repeat=b):
+                        key = ClassKey(rl, rr, lvl, lvr)
+                        try:
+                            src = rep_source(key)
+                        except UnrealizableKeyError:
+                            continue
+                        if window.contains(src):
+                            out.append(pair_word(*pair_for_source(key, src)))
+    return out
+
+
+@pytest.mark.parametrize("k,level", [(k, level) for k in (1, 2)
+                                     for level in (1, 2, 3)])
+def test_pair_enumeration_matches_class_key_order(k, level):
+    graph = StandardKGraph(k, level)
+    corners = [((-1,) * k, (1,) * k), ((-2,), (1,)) if k == 1
+               else ((0, -1), (2, 1))]
+    for lo, hi in corners:
+        for bound in range(4):
+            window = Window(lo, hi, bound)
+            mid = window.vertices()[len(window.vertices()) // 2]
+            for rl, rr in ((None, None), (mid, None), (None, hi), (mid, hi)):
+                got = enumerate_basis(graph, window, shape="pair",
+                                      range_left=rl, range_right=rr)
+                assert got == _class_key_pairs(graph, window, rl, rr), (
+                    lo, hi, bound, rl, rr)

@@ -203,3 +203,24 @@ def test_kp_failure_names_element_and_family(monkeypatch):
     assert third.detail == "KP1 normal form 1 * v(0) . v(-1) is not 0"
     one = check_kp_relations(graph, window, case_index=3)
     assert one.cases == 1 and one.failures == [third]
+
+
+def test_lemma13_paths_respect_degree_bound(monkeypatch, capsys):
+    from kumjian_pask import verify
+    from kumjian_pask.cli import main
+    from kumjian_pask.kgraph import norm
+
+    # every lemma13 case draws lam and mu; record both and require the
+    # --degree-bound to cap their degrees
+    real, drawn = verify._rand_path, []
+
+    def recording(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_rand_path", recording)
+    assert main(["check", "lemma13", "--k", "2", "--level", "2",
+                 "--degree-bound", "1", "--cases", "50"]) == 0
+    capsys.readouterr()
+    assert len(drawn) == 100
+    assert max(norm(p.degree) for p in drawn) <= 1
