@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import canonical
 from .freealg import Element, Word, letter, pair_word
 from .kgraph import (Coords, KGraphError, Path, StandardKGraph, leq,
-                     degrees_upto)
+                     degrees_upto, vsub)
 from .rewrite import normalize
 
 
@@ -58,9 +58,11 @@ class Window:
 
     def paths(self, graph: StandardKGraph) -> list[Path]:
         """Every path with both endpoints in the window and a degree from
-        degrees(), ordered by range, then degree, then level vector."""
+        degrees(), ordered by range, then degree, then level vector.  The
+        paths of one range and degree share their source, so a group is
+        built only when that source is in the window."""
         return [p for v in self.vertices() for n in self.degrees()
-                for p in graph.paths(v, n) if self.contains(p.source)]
+                if self.contains(vsub(v, n)) for p in graph.paths(v, n)]
 
 
 def uniform_window(k: int, lo: int, hi: int, degree_bound: int) -> Window:

@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("element")
     p.add_argument("--trace", action="store_true",
-                   help="print one line per rewrite step")
+                   help="print one line per rewrite step (with --format "
+                        "structured: a \"trace\" list in the JSON)")
 
     p = sub.add_parser("mul", help="multiply two elements in the quotient")
     _add_common(p)
@@ -167,14 +168,23 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "normalize":
         elem = _element_arg(args.element, graph, ring)
-        trace = None
-        if args.trace:
-            def trace(step: TraceStep) -> None:
-                m = step.measure
+        steps: list[dict] = []
+
+        def trace(step: TraceStep) -> None:
+            if args.format == "structured":
+                steps.append({"rule": step.rule.value, "pos": step.pos + 1,
+                              "measure": list(step.measure)})
+            else:
                 print(f"rule={step.rule.value} pos={step.pos + 1} "
-                      f"measure=({m.length},{m.entropy},{m.degree_value},"
-                      f"{m.one_level_value},{m.ar_value})")
-        _print_element(normalize(graph, elem, trace=trace), args.format)
+                      f"measure=({','.join(map(str, step.measure))})")
+        result = normalize(graph, elem, trace=trace if args.trace else None)
+        if args.trace and args.format == "structured":
+            # one JSON document: the steps ride along with the element
+            print(json.dumps({"element": _element_payload(result),
+                              "trace": steps},
+                             sort_keys=True, separators=(",", ":")))
+        else:
+            _print_element(result, args.format)
         return 0
 
     if args.command == "mul":

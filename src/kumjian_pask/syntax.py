@@ -1,6 +1,6 @@
 """Shared text syntax for paths, words, and elements.
 
-Grammar (whitespace between tokens is ignored):
+Grammar:
 
     element  := '0' | ['-'] term (('+' | '-') term)*
     term     := [integer '*'] word
@@ -9,6 +9,13 @@ Grammar (whitespace between tokens is ignored):
     vertex   := 'v' coords
     path     := 'p' '[' coords '->' coords ';' integer (',' integer)* ']'
     coords   := '(' integer (',' integer)* ')'
+    integer  := ['+' | '-'] digit+      (ASCII digits 0-9, no space after the sign)
+
+Whitespace may separate any two tokens, even the '-' and '>' of the arrow.
+'0' is the zero element only as the whole input, and the star of a vertex
+is ignored (vertices are self-adjoint).  The position of an
+ElementSyntaxError names the first character of the generator, coefficient
+or operator that fails, not the exact character inside it.
 
 Level entries in a path are written top first, e.g. p[(1,1)->(0,0);2,1].
 Printing is canonical: terms sorted by the word order, coefficients always
@@ -17,6 +24,8 @@ format(parse(t)) reproduces any canonically formatted t byte for byte.
 """
 
 from __future__ import annotations
+
+import re
 
 from .freealg import Element, Letter, Ring, Word, letter
 from .kgraph import KGraphError, Path, StandardKGraph
@@ -64,144 +73,84 @@ def format_element(e: Element) -> str:
 # Parsing
 # --------------------------------------------------------------------------
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token: str) -> bool:
-        if self.peek() == token:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.take(token):
-            raise ElementSyntaxError(self.pos, f"expected {token!r}")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            self.pos = start
-            raise ElementSyntaxError(start, "expected an integer")
-        return int(self.text[start:self.pos])
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+_INTS = r"[+-]?[0-9]+ (?: \s*,\s* [+-]?[0-9]+ )*"
+# A whole generator with its optional star and the space after it.
+_GENERATOR = re.compile(rf"""
+    (?: v \s* \( \s* (?P<vertex> {_INTS}) \s* \)
+      | p \s* \[ \s* \( \s* (?P<range> {_INTS}) \s* \) \s* - \s* >
+          \s* \( \s* (?P<source> {_INTS}) \s* \)
+          \s* ; \s* (?P<levels> {_INTS}) \s* \] )
+    \s* (?P<star> \* )? \s*""", re.VERBOSE)
+# An integer opening a term; group 2 is None when no '*' follows it.
+_COEFF = re.compile(r"([+-]?[0-9]+)\s*(\*)?")
+_SPACE = re.compile(r"\s*")
 
 
-def _parse_coords(sc: _Scanner) -> tuple[int, ...]:
-    sc.expect("(")
-    out = [sc.integer()]
-    while sc.take(","):
-        out.append(sc.integer())
-    sc.expect(")")
-    return tuple(out)
+def _ints(text: str, pos: int) -> tuple[int, ...]:
+    """The comma-separated integers in text; pos is the error position."""
+    try:
+        return tuple(int(x.strip()) for x in text.split(","))
+    except ValueError as exc:  # more digits than int() will convert
+        raise ElementSyntaxError(pos, str(exc)) from None
 
 
-def _parse_generator(sc: _Scanner, graph: StandardKGraph) -> Letter:
-    sc.skip_ws()
-    start = sc.pos
-    head = sc.peek()
-    if head == "v":
-        sc.pos += 1
-        coords = _parse_coords(sc)
+def _parse_word(text: str, pos: int,
+                graph: StandardKGraph) -> tuple[Word, int]:
+    """The word starting at pos, and the first non-space position after it."""
+    letters = []
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        m = _GENERATOR.match(text, pos)
+        if m is None:
+            raise ElementSyntaxError(pos, "expected a generator: v(coords) "
+                                          "or p[(coords)->(coords);levels]")
         try:
-            path = graph.vertex(coords)
+            if m["vertex"] is not None:
+                path = graph.vertex(_ints(m["vertex"], pos))
+            else:
+                path = graph.path(_ints(m["range"], pos),
+                                  _ints(m["source"], pos),
+                                  _ints(m["levels"], pos))
         except KGraphError as exc:
-            raise ElementSyntaxError(start, str(exc)) from None
-        sc.take("*")  # vertices are self-adjoint
-        return letter(path)
-    if head == "p":
-        sc.pos += 1
-        sc.expect("[")
-        range_v = _parse_coords(sc)
-        sc.expect("-")
-        sc.expect(">")
-        source_v = _parse_coords(sc)
-        sc.expect(";")
-        levels = [sc.integer()]
-        while sc.take(","):
-            levels.append(sc.integer())
-        sc.expect("]")
-        try:
-            path = graph.path(range_v, source_v, tuple(levels))
-        except KGraphError as exc:
-            raise ElementSyntaxError(start, str(exc)) from None
-        if path.is_vertex:
-            raise ElementSyntaxError(start, "path form requires nonzero degree")
-        return letter(path, ghost=sc.take("*"))
-    raise ElementSyntaxError(sc.pos, "expected a generator ('v' or 'p')")
+            raise ElementSyntaxError(pos, str(exc)) from None
+        # letter drops the star of a vertex: vertices are self-adjoint
+        letters.append(letter(path, ghost=m["star"] is not None))
+        pos = m.end()
+        if not text.startswith(".", pos):
+            return tuple(letters), pos
+        pos += 1
 
 
 def parse_word(text: str, graph: StandardKGraph) -> Word:
-    sc = _Scanner(text)
-    w = _parse_word(sc, graph)
-    if not sc.at_end():
-        raise ElementSyntaxError(sc.pos, "trailing input after word")
+    w, pos = _parse_word(text, 0, graph)
+    if pos < len(text):
+        raise ElementSyntaxError(pos, "trailing input after word")
     return w
-
-
-def _parse_word(sc: _Scanner, graph: StandardKGraph) -> Word:
-    letters = [_parse_generator(sc, graph)]
-    while sc.take("."):
-        letters.append(_parse_generator(sc, graph))
-    return tuple(letters)
-
-
-def _parse_term(sc: _Scanner, graph: StandardKGraph) -> tuple[Word, int]:
-    sc.skip_ws()
-    mark = sc.pos
-    coeff = 1
-    if sc.peek() in "+-0123456789":
-        try:
-            value = sc.integer()
-        except ElementSyntaxError:
-            value = None
-        if value is not None:
-            if sc.take("*"):
-                coeff = value
-            else:
-                sc.pos = mark
-                raise ElementSyntaxError(sc.pos,
-                                         "expected '*' after coefficient")
-    return _parse_word(sc, graph), coeff
 
 
 def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
     """Parse the shared element grammar; '0' denotes the zero element."""
-    sc = _Scanner(text)
-    if sc.at_end():
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
         raise ElementSyntaxError(0, "empty input")
-    stripped = text.strip()
-    if stripped == "0":
+    if text.strip() == "0":
         return Element.zero(ring)
     terms: list[tuple[Word, int]] = []
-    sign = -1 if sc.take("-") else 1
-    w, c = _parse_term(sc, graph)
-    terms.append((w, sign * c))
-    while not sc.at_end():
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            raise ElementSyntaxError(sc.pos, "expected '+' or '-'")
-        w, c = _parse_term(sc, graph)
+    sign = 1
+    if text[pos] == "-":
+        sign, pos = -1, pos + 1
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        c, coeff = 1, _COEFF.match(text, pos)
+        if coeff is not None:
+            if coeff[2] is None:
+                raise ElementSyntaxError(pos, "expected '*' after coefficient")
+            c, pos = _ints(coeff[1], pos)[0], coeff.end()
+        w, pos = _parse_word(text, pos, graph)
         terms.append((w, sign * c))
-    return Element.from_terms(ring, terms)
+        if pos == len(text):
+            return Element.from_terms(ring, terms)
+        if text[pos] not in "+-":
+            raise ElementSyntaxError(pos, "expected '+' or '-'")
+        sign = 1 if text[pos] == "+" else -1
+        pos += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 
 from . import canonical
 from .freealg import Element, IntegerRing, Ring, Word, letter, pair_word
@@ -371,9 +371,10 @@ def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
     capped = Window(window.lo, window.hi, min(window.degree_bound, 2))
     verts, degs = capped.vertices(), capped.degrees()
     paths = capped.paths(graph)
+    vl = {v: letter(graph.vertex(v)) for v in verts}
 
-    def wrd(*letters) -> Element:
-        return Element.from_word(ring, tuple(letters))
+    def rel(word: Word, *minus: Word) -> Element:
+        return Element.from_terms(ring, [(word, 1), *((w, -1) for w in minus)])
 
     paths_from = {v: [] for v in verts}
     paths_into = {v: [] for v in verts}
@@ -382,47 +383,42 @@ def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
         paths_into[p.source].append(p)
 
     for v in verts:
-        lv = letter(graph.vertex(v))
         for w in verts:
-            elem = wrd(lv, letter(graph.vertex(w)))
-            if v == w:
-                elem = elem - wrd(lv)
-            yield "KP1", elem
+            word = (vl[v], vl[w])
+            yield "KP1", rel(word, (vl[v],)) if v == w else rel(word)
 
     for p in paths:
         lp, gp = letter(p), letter(p, ghost=True)
-        rv, sv = letter(graph.vertex(p.range)), letter(graph.vertex(p.source))
-        yield "KP2", wrd(rv, lp) - wrd(lp)
-        yield "KP2", wrd(lp, sv) - wrd(lp)
-        yield "KP2", wrd(sv, gp) - wrd(gp)
-        yield "KP2", wrd(gp, rv) - wrd(gp)
+        rv, sv = vl[p.range], vl[p.source]
+        yield "KP2", rel((rv, lp), (lp,))
+        yield "KP2", rel((lp, sv), (lp,))
+        yield "KP2", rel((sv, gp), (gp,))
+        yield "KP2", rel((gp, rv), (gp,))
 
     for v in verts:
         for lam in paths_into[v]:
             for mu in paths_from[v]:
-                yield "KP2", (wrd(letter(lam), letter(mu))
-                              - wrd(letter(compose(lam, mu))))
-                yield "KP2", (wrd(letter(mu, True), letter(lam, True))
-                              - wrd(letter(compose(lam, mu), True)))
+                lm = compose(lam, mu)
+                yield "KP2", rel((letter(lam), letter(mu)), (letter(lm),))
+                yield "KP2", rel((letter(mu, True), letter(lam, True)),
+                                 (letter(lm, True),))
 
+    # paths_from[v] runs through the degrees in order, so its same-degree
+    # groups are the in-window groups graph.paths(v, n) would give
     for v in verts:
-        for n in degs:
-            group = graph.paths(v, n)
+        for _, group in groupby(paths_from[v], key=lambda p: p.degree):
+            group = list(group)
             for lam in group:
-                if not window.contains(lam.source):
-                    continue
                 for mu in group:
-                    elem = wrd(letter(lam, True), letter(mu))
-                    if lam == mu:
-                        elem = elem - wrd(letter(graph.vertex(lam.source)))
-                    yield "KP3", elem
+                    word = (letter(lam, True), letter(mu))
+                    yield "KP3", (rel(word, (vl[lam.source],)) if lam == mu
+                                  else rel(word))
 
+    # KP4 sums over every path of degree n from v, wherever its source lies
     for v in verts:
         for n in degs:
-            elem = wrd(letter(graph.vertex(v)))
-            for lam in graph.paths(v, n):
-                elem = elem - wrd(*pair_word(lam, lam))
-            yield "KP4", elem
+            yield "KP4", rel((vl[v],), *(pair_word(lam, lam)
+                                         for lam in graph.paths(v, n)))
 
 
 def check_kp_relations(graph: StandardKGraph,

@@ -232,3 +232,29 @@ def test_check_all_degree_bound_zero(capsys):
     lines = out.splitlines()
     assert "name=lemma8 cases=0 failures=0 seed=0" in lines
     assert "name=lemma13 cases=0 failures=0 seed=0" in lines
+
+
+def test_normalize_structured_trace_is_one_document(capsys):
+    element = "p[(1,0)->(0,0);1] . p[(1,0)->(0,0);1]*"
+    common = ("normalize", "--k", "2", "--level", "2", "--trace")
+    code, text, _ = run_cli(capsys, *common, element)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *common, "--format", "structured", element)
+    assert code == 0
+    payload = json.loads(out)
+    text_steps = text.splitlines()[:-1]
+    assert len(payload["trace"]) == len(text_steps) > 0
+    for step, line in zip(payload["trace"], text_steps):
+        measure = ",".join(map(str, step["measure"]))
+        assert line == (f"rule={step['rule']} pos={step['pos']} "
+                        f"measure=({measure})")
+    code, plain, _ = run_cli(capsys, *common[:-1], "--format", "structured",
+                             element)
+    assert code == 0 and json.loads(plain) == {"element": payload["element"]}
+
+
+def test_non_ascii_digits_are_usage_errors(capsys):
+    for element in ("v(²)", "v(٣)", "+٣ * v(0)"):
+        code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level",
+                                 "2", element)
+        assert code == 2 and out == "" and "bad element" in err

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
 from kumjian_pask.kgraph import Path, StandardKGraph, vertex
@@ -72,6 +74,86 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ElementSyntaxError) as err:
             parse_element(text, G22, ZZ)
         assert "at position" in str(err.value)
+
+
+# Each accepted text with its formatted value (k = 1, level 2).
+ACCEPTED = {
+    # whitespace may separate any two tokens, the arrow's '-' and '>' too
+    " p [ ( 1 ) - > ( 0 ) ; 2 ] * ": "1 * p[(1)->(0);2]*",
+    "\u00a0v(0)\t.\nv(0)": "1 * v(0) . v(0)",
+    "2*v(0).v(0)": "2 * v(0) . v(0)",
+    # integers carry an optional sign, written with no space after it
+    "v( +1 )": "1 * v(1)",
+    "v(-0)": "1 * v(0)",
+    "- -2 * v(0)": "2 * v(0)",
+    "+2 * v(0)": "2 * v(0)",
+    "- 2 * v(0)": "-2 * v(0)",
+    "-v(0)": "-1 * v(0)",
+    "v(0) - -2 * v(0)": "3 * v(0)",
+    "007 * v(0)": "7 * v(0)",
+    # '0' is the zero element only as the whole input
+    " 0 ": "0",
+    "0 * v(0)": "0",
+    "0 * v(0) + v(1)": "1 * v(1)",
+    # a vertex's star is ignored
+    "v(0) *": "1 * v(0)",
+    "v(0)* . p[(0)->(-1);1]*": "1 * v(0) . p[(0)->(-1);1]*",
+}
+
+# Each rejected text with the position of the generator, coefficient or
+# operator that fails; semantic errors name the generator as before.
+REJECTED = {
+    "+v(0)": 0,
+    "2 v(0)": 0,
+    "v(0) v(0)": 5,
+    "v(- 1)": 0,
+    "v(²)": 0,
+    "v(٣)": 0,
+    "+٣ * v(0)": 0,
+    "1_0 * v(0)": 0,
+    "- - v(0)": 2,
+    "v(0) ++ v(0)": 6,
+    "v(0) + 0": 7,
+    "0 + v(0)": 0,
+    "-0": 1,
+    "00": 0,
+    "2 * * v(0)": 4,
+    "v(0) . ": 7,
+    "p[(1)->(0);1,2]": 0,
+    "v(0) + p[(1)->(0);3]": 7,
+    "v(0,0)": 0,
+    "p[(0)->(1);1]": 0,
+    "p[(0)->(0);1]": 0,
+}
+
+
+@pytest.mark.parametrize("text", ACCEPTED)
+def test_grammar_accepts(text):
+    assert format_element(parse_element(text, G12, ZZ)) == ACCEPTED[text]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_grammar_rejects(text):
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_element(text, G12, ZZ)
+    assert err.value.pos == REJECTED[text]
+
+
+TOKENS = ["v", "p", "[", "]", "(", ")", "->", "-", ">", ";", ",", ".", "*",
+          "+", "0", "1", "-1", "2", " ", "²", "٣", "\u00a0"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.text(alphabet="".join(TOKENS), max_size=30),
+                 st.lists(st.sampled_from(TOKENS), max_size=20).map("".join)))
+@example("v(²)")
+@example("v(" + "9" * 5000 + ")")
+@example("9" * 5000 + " * v(0)")
+def test_parse_returns_element_or_positioned_error(text):
+    try:
+        assert isinstance(parse_element(text, G12, ZZ), Element)
+    except ElementSyntaxError as err:
+        assert 0 <= err.pos <= len(text)
 
 
 def test_parse_word_rejects_trailing():

@@ -224,3 +224,34 @@ def test_lemma13_paths_respect_degree_bound(monkeypatch, capsys):
     capsys.readouterr()
     assert len(drawn) == 100
     assert max(norm(p.degree) for p in drawn) <= 1
+
+
+def test_kp_family_counts_match_closed_forms():
+    from collections import Counter
+
+    from kumjian_pask.algebra import Window
+    from kumjian_pask.kgraph import norm, vadd, vsub
+    from kumjian_pask.verify import _kp_instances
+
+    for graph, window in ((StandardKGraph(1, 2), uniform_window(1, -1, 1, 2)),
+                          (StandardKGraph(2, 2), uniform_window(2, -2, 2, 3)),
+                          (StandardKGraph(2, 3), Window((0, -1), (2, 1), 2))):
+        capped = Window(window.lo, window.hi, min(window.degree_bound, 2))
+        verts, degs = capped.vertices(), capped.degrees()
+
+        def count(v, step):
+            """Window paths with range v (step vsub) or source v (vadd)."""
+            return sum(graph.level ** norm(n) for n in degs
+                       if window.contains(step(v, n)))
+
+        n_paths = sum(count(v, vsub) for v in verts)
+        got = Counter(family for family, _ in
+                      _kp_instances(graph, window, IntegerRing()))
+        assert got == {
+            "KP1": len(verts) ** 2,
+            "KP2": 4 * n_paths + 2 * sum(count(v, vadd) * count(v, vsub)
+                                         for v in verts),
+            "KP3": sum(graph.level ** (2 * norm(n)) for v in verts
+                       for n in degs if window.contains(vsub(v, n))),
+            "KP4": len(verts) * len(degs),
+        }, (graph, window)
