@@ -26,8 +26,8 @@ from .algebra import Window, enumerate_basis, kp_mul, kp_star
 from .freealg import Element, ring_from_spec
 from .kgraph import KGraphError, StandardKGraph
 from .rewrite import TraceStep, normalize
-from .syntax import (ElementSyntaxError, format_element, format_letter,
-                     format_word, parse_element)
+from .syntax import (ElementSyntaxError, exact_decimal, format_element,
+                     format_letter, format_word, parse_element)
 
 
 class UsageError(Exception):
@@ -82,7 +82,8 @@ def _element_arg(text: str, graph: StandardKGraph, ring) -> Element:
 def _element_payload(elem: Element) -> dict:
     return {
         "ring": elem.ring.name,
-        "terms": [{"coeff": str(c), "word": [format_letter(x) for x in w]}
+        "terms": [{"coeff": exact_decimal(c),
+                   "word": [format_letter(x) for x in w]}
                   for w, c in elem.sorted_terms()],
     }
 

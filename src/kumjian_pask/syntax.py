@@ -21,11 +21,13 @@ Level entries in a path are written top first, e.g. p[(1,1)->(0,0);2,1].
 Printing is canonical: terms sorted by the word order, coefficients always
 explicit, separators ' + ', ' * ', and ' . '.  parse(format(x)) == x and
 format(parse(t)) reproduces any canonically formatted t byte for byte.
+Coefficients are exact at any size; coordinates keep int()'s digit limit.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 
 from .freealg import Element, Letter, Ring, Word, letter
 from .kgraph import KGraphError, Path, StandardKGraph
@@ -42,6 +44,16 @@ class ElementSyntaxError(ValueError):
 # --------------------------------------------------------------------------
 # Formatting
 # --------------------------------------------------------------------------
+
+def exact_decimal(x: int | str) -> str | int:
+    """An int as decimal text, or decimal text as an int, at any size: str()
+    and int() have a digit limit, Decimal converts both ways without it."""
+    convert = str if isinstance(x, int) else int
+    try:
+        return convert(x)
+    except ValueError:
+        return convert(Decimal(x))
+
 
 def format_coords(c) -> str:
     return "(" + ",".join(str(x) for x in c) + ")"
@@ -65,7 +77,7 @@ def format_word(w: Word) -> str:
 def format_element(e: Element) -> str:
     if e.is_zero():
         return "0"
-    return " + ".join(f"{c} * {format_word(w)}"
+    return " + ".join(f"{exact_decimal(c)} * {format_word(w)}"
                       for w, c in e.sorted_terms())
 
 
@@ -145,7 +157,7 @@ def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
         if coeff is not None:
             if coeff[2] is None:
                 raise ElementSyntaxError(pos, "expected '*' after coefficient")
-            c, pos = _ints(coeff[1], pos)[0], coeff.end()
+            c, pos = exact_decimal(coeff[1]), coeff.end()
         w, pos = _parse_word(text, pos, graph)
         terms.append((w, sign * c))
         if pos == len(text):

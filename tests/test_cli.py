@@ -225,12 +225,14 @@ def test_case_index_runs_one_kp_case(capsys):
 
 
 def test_check_all_degree_bound_zero(capsys):
-    # no degree n >= 1 to sample: lemma8 and lemma13 report no cases
+    # no degree n >= 1 to sample: lemma8, lemma12 and lemma13 report no
+    # cases
     code, out, _ = run_cli(capsys, "check", "all", "--k", "2", "--level", "2",
                            "--degree-bound", "0")
     assert code == 0
     lines = out.splitlines()
     assert "name=lemma8 cases=0 failures=0 seed=0" in lines
+    assert "name=lemma12 cases=0 failures=0 seed=0" in lines
     assert "name=lemma13 cases=0 failures=0 seed=0" in lines
 
 
@@ -258,3 +260,26 @@ def test_non_ascii_digits_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level",
                                  "2", element)
         assert code == 2 and out == "" and "bad element" in err
+
+
+def test_huge_coefficients_print_exactly(capsys):
+    from kumjian_pask.freealg import Element, IntegerRing, letter
+    from kumjian_pask.kgraph import StandardKGraph
+    from kumjian_pask.syntax import format_element, parse_element
+
+    # (10^3000 - 1)^2 has 6,000 digits, past str()'s default limit of 4,300
+    factor = "9" * 3000 + " * v(0)"
+    digits = "9" * 2999 + "8" + "0" * 2999 + "1"
+    common = ("mul", "--k", "1", "--level", "2", factor, factor)
+    code, out, err = run_cli(capsys, *common)
+    assert code == 0 and err == ""
+    assert out == f"{digits} * v(0)\n"
+    graph, ring = StandardKGraph(1, 2), IntegerRing()
+    square = Element.from_word(ring, (letter(graph.vertex((0,))),),
+                               (10 ** 3000 - 1) ** 2)
+    assert parse_element(out, graph, ring) == square
+    assert format_element(square) == out.rstrip("\n")
+    code, out, _ = run_cli(capsys, *common, "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["element"]["terms"] == [
+        {"coeff": digits, "word": ["v(0)"]}]

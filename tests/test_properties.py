@@ -1,12 +1,13 @@
 """Properties of the normal form that the engine relies on, checked on
 random free-algebra elements: translation equivariance, reduction from Z
-to Z/n, and the star anti-involution in the quotient."""
+to Z/n, the star anti-involution in the quotient, and linearity."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kumjian_pask.algebra import kp_mul, kp_star
-from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
+from kumjian_pask.freealg import (Element, IntegerRing, ModularRing, letter,
+                                 ring_from_spec)
 from kumjian_pask.kgraph import (Path, StandardKGraph, degrees_upto, norm,
                                  vadd, vsub)
 from kumjian_pask.rewrite import normalize
@@ -96,3 +97,14 @@ def test_star_reverses_products(case):
     graph, (x, y) = case
     assert (kp_star(graph, kp_mul(graph, x, y))
             == kp_mul(graph, kp_star(graph, y), kp_star(graph, x)))
+
+
+@SETTINGS
+@given(graph_and(2), st.sampled_from(("int", "zmod:5")))
+def test_normal_form_is_linear(case, ring_spec):
+    """NF(x - y) = NF(x) - NF(y): a relation lhs - rhs normalizes to 0
+    exactly when both sides have the same normal form."""
+    graph, (x, y) = case
+    ring = ring_from_spec(ring_spec)
+    x, y = x.convert(ring), y.convert(ring)
+    assert normalize(graph, x - y) == normalize(graph, x) - normalize(graph, y)

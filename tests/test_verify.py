@@ -65,13 +65,16 @@ def test_run_all_order_and_names():
 
 
 def test_failure_plumbing_records_seed_and_input():
+    from kumjian_pask.freealg import Element, letter
+    from kumjian_pask.verify import _case_rng
+
     graph = StandardKGraph(1, 1)
 
     def body(rng, graph, window, ring):
+        # an odd value gives the relation 1 * v(value), which is not 0
         value = rng.randint(0, 9)
-        if value % 2:
-            return (f"value={value}", "odd sample")
-        return None
+        word = (letter(graph.vertex((value,))),)
+        return [(f"value={value}", Element.from_word(ring, word, value % 2))]
 
     report = _run_cases("synthetic", graph, 31, 20, None, IntegerRing(),
                         None, body)
@@ -79,7 +82,9 @@ def test_failure_plumbing_records_seed_and_input():
     assert not report.passed
     for f in report.failures:
         assert f.case_seed == f"31:synthetic:{f.index}"
-        assert f.input_text.startswith("value=")
+        value = _case_rng(31, "synthetic", f.index).randint(0, 9)
+        assert f.input_text == f"1 * v({value})"
+        assert f.detail == f"value={value} normal form 1 * v({value}) is not 0"
     lines = report.text_lines()
     assert lines[0] == (f"name=synthetic cases=20 "
                         f"failures={len(report.failures)} seed=31")
@@ -210,8 +215,9 @@ def test_lemma13_paths_respect_degree_bound(monkeypatch, capsys):
     from kumjian_pask.cli import main
     from kumjian_pask.kgraph import norm
 
-    # every lemma13 case draws lam and mu; record both and require the
-    # --degree-bound to cap their degrees
+    # every lemma13 case draws lam and mu; record both and require their
+    # degrees to stay within min(--degree-bound, 2).  Below bound 2 there
+    # is no |n| >= 2 to sample, so nothing is drawn and no case runs.
     real, drawn = verify._rand_path, []
 
     def recording(*args, **kwargs):
@@ -219,11 +225,14 @@ def test_lemma13_paths_respect_degree_bound(monkeypatch, capsys):
         return drawn[-1]
 
     monkeypatch.setattr(verify, "_rand_path", recording)
-    assert main(["check", "lemma13", "--k", "2", "--level", "2",
-                 "--degree-bound", "1", "--cases", "50"]) == 0
-    capsys.readouterr()
-    assert len(drawn) == 100
-    assert max(norm(p.degree) for p in drawn) <= 1
+    for bound, cases in ((1, 0), (2, 50), (3, 50)):
+        drawn.clear()
+        assert main(["check", "lemma13", "--k", "2", "--level", "2",
+                     "--degree-bound", str(bound), "--cases", "50"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"name=lemma13 cases={cases} failures=0")
+        assert len(drawn) == 2 * cases
+        assert all(norm(p.degree) <= min(bound, 2) for p in drawn)
 
 
 def test_kp_family_counts_match_closed_forms():
@@ -255,3 +264,36 @@ def test_kp_family_counts_match_closed_forms():
                        for n in degs if window.contains(vsub(v, n))),
             "KP4": len(verts) * len(degs),
         }, (graph, window)
+
+
+@pytest.mark.parametrize("name", list(CHECKS.keys()))
+def test_sampled_relations_are_never_zero(monkeypatch, name):
+    """No sampled case hands normalize a relation that is 0 before
+    rewriting: such a case would check nothing.  lemma8 on k = 1 or level 1
+    is the one exemption: every class there has a single member.  A lemma
+    case is one relation, so it makes exactly one normalize call."""
+    from kumjian_pask import verify
+
+    real, handed = verify.normalize, []
+
+    def spy(graph, elem, **kwargs):
+        handed.append(elem)
+        return real(graph, elem, **kwargs)
+
+    monkeypatch.setattr(verify, "normalize", spy)
+    for k in (1, 2, 3):
+        for level in (1, 2, 3):
+            graph = StandardKGraph(k, level)
+            for bound in (1, 2, 3):
+                handed.clear()
+                report = CHECKS[name](graph, seed=1405, cases=200,
+                                      window=uniform_window(k, -3, 3, bound))
+                assert report.passed, report.text_lines()
+                if name == "confluence":
+                    assert len(handed) >= 2 * report.cases
+                else:
+                    assert len(handed) == report.cases
+                if name == "lemma8" and (k == 1 or level == 1):
+                    continue
+                zero = sum(1 for elem in handed if elem.is_zero())
+                assert zero == 0, (k, level, bound, zero)
