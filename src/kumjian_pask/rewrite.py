@@ -31,6 +31,7 @@ decrease at runtime and raises OrderingViolation on any counterexample
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -209,24 +210,34 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
     return [(pair(lam, mu), 1)] + [(pair(a, b), -1) for a, b in ext[1:]]
 
 
-def apply_rule(graph: StandardKGraph, ring: Ring, w: Word,
-               m: RedexMatch) -> Element:
+def apply_rule(graph: StandardKGraph, ring: Ring, w: Word, m: RedexMatch,
+               measure=None) -> Element:
     """Apply one rule instance to a word; checks the measure decrease."""
     derived = match_at(w, m.pos)
     if derived is None or derived.rule is not m.rule:
         raise RewriteFault(
             f"match {m.rule} at pos {m.pos} does not apply to the word")
-    before = word_measure(w)
+    measure = measure or word_measure
+    before = measure(w)
     rhs = _rhs_words(graph, w, m)
     for w2, _ in rhs:
-        if not word_measure(w2) < before:
+        if not measure(w2) < before:
             raise OrderingViolation(
                 f"{m.rule.value} produced a word of measure "
-                f"{word_measure(w2)} from {before}")
+                f"{measure(w2)} from {before}")
     return Element.from_terms(ring, rhs)
 
 
 DEFAULT_STEP_GUARD = 10 ** 6
+
+
+class _Max(NamedTuple):
+    """A heap entry; heapq pops the entry of largest key first."""
+    key: tuple[WordMeasure, tuple]
+    word: Word
+
+    def __lt__(self, other: _Max) -> bool:
+        return other.key < self.key
 
 
 def normalize(graph: StandardKGraph, elem: Element, *,
@@ -236,9 +247,13 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     """Fixed point of the reduction system on every term of an element.
 
     Deterministic strategy: repeatedly rewrite the pending word of largest
-    measure (ties broken by the word order) at its leftmost redex.  If rng
-    is given, both the word and the redex (including the R4 expansion
-    degree) are chosen at random instead; the normal form is the same.
+    measure (ties broken by the word order) at its leftmost redex, popped
+    from a max-heap with lazy deletion: a word is pushed when it enters
+    pending, and an entry whose word has cancelled away is skipped.  A
+    popped word never returns, as every produced word measures less than
+    its parent.  Each word is measured once.  If rng is given, both the word
+    and the redex (including the R4 expansion degree) are chosen at random
+    instead, without a heap; the normal form is the same.
 
     Raises TerminationFault if more than step_guard single-word rewrites
     are needed (unreachable for a correct engine).
@@ -254,13 +269,20 @@ def normalize(graph: StandardKGraph, elem: Element, *,
             r = keys[w] = (word_measure(w), word_key(w))
         return r
 
+    def measure(w: Word) -> WordMeasure:
+        return mkey(w)[0]
+
+    # a sorted list is a heap
+    heap = sorted(_Max(mkey(w), w) for w in pending) if rng is None else None
     steps = 0
     while pending:
-        if rng is None:
-            w = max(pending, key=mkey)
-        else:
+        if heap is None:
             w = rng.choice(sorted(pending, key=mkey))
-        c = pending.pop(w)
+        else:
+            w = heapq.heappop(heap).word
+        c = pending.pop(w, None)
+        if c is None:
+            continue
         m = find_redex(w) if rng is None else _random_redex(w, rng)
         if m is None:
             ring.add_into(done, w, c)
@@ -268,12 +290,15 @@ def normalize(graph: StandardKGraph, elem: Element, *,
         steps += 1
         if steps > step_guard:
             raise TerminationFault(f"step guard {step_guard} exhausted")
-        piece = apply_rule(graph, ring, w, m)
+        piece = apply_rule(graph, ring, w, m, measure)
         if trace is not None:
-            trace(TraceStep(m.rule, m.pos, mkey(w)[0],
-                            tuple(mkey(w2)[0] for w2 in piece.terms)))
+            trace(TraceStep(m.rule, m.pos, measure(w),
+                            tuple(measure(w2) for w2 in piece.terms)))
         for w2, c2 in piece.terms.items():
+            size = len(pending)
             ring.add_into(pending, w2, c * c2)
+            if heap is not None and len(pending) > size:
+                heapq.heappush(heap, _Max(mkey(w2), w2))
     return Element(ring, done)
 
 

@@ -270,8 +270,8 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
             w = (vadd(vsub(v, m), n) if rng.random() < 0.8
                  else _rand_vertex(rng, window))
             cap = meet(m, n)
-            candidates = [d for d in degrees_upto(graph.k, max(cap), 1)
-                          if leq(d, cap) and norm(d) <= shared]
+            candidates = [d for d in degrees_upto(
+                graph.k, min(norm(cap), shared), 1) if leq(d, cap)]
             if candidates:
                 break
         nhat = rng.choice(candidates)

@@ -1,16 +1,18 @@
 """Properties of the normal form that the engine relies on, checked on
 random free-algebra elements: translation equivariance, reduction from Z
-to Z/n, the star anti-involution in the quotient, and linearity."""
+to Z/n, the star anti-involution in the quotient, linearity, and the
+scheduler's rewrite order."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kumjian_pask.algebra import kp_mul, kp_star
 from kumjian_pask.freealg import (Element, IntegerRing, ModularRing, letter,
-                                 ring_from_spec)
-from kumjian_pask.kgraph import (Path, StandardKGraph, degrees_upto, norm,
-                                 vadd, vsub)
-from kumjian_pask.rewrite import normalize
+                                 ring_from_spec, word_key)
+from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
+                                 norm, vadd, vertex, vsub)
+from kumjian_pask.rewrite import (TraceStep, apply_rule, find_redex,
+                                  normalize, word_measure)
 
 ZZ = IntegerRing()
 GRAPHS = [StandardKGraph(k, level) for k in (1, 2) for level in (1, 2)]
@@ -108,3 +110,50 @@ def test_normal_form_is_linear(case, ring_spec):
     ring = ring_from_spec(ring_spec)
     x, y = x.convert(ring), y.convert(ring)
     assert normalize(graph, x - y) == normalize(graph, x) - normalize(graph, y)
+
+
+def max_scan_normalize(graph, elem):
+    """The normal form and trace of a scheduler that rescans pending for the
+    word of largest (measure, word order) at every step."""
+    ring, pending, done, trace = elem.ring, dict(elem.terms), {}, []
+    while pending:
+        w = max(pending, key=lambda u: (word_measure(u), word_key(u)))
+        c = pending.pop(w)
+        m = find_redex(w)
+        if m is None:
+            ring.add_into(done, w, c)
+            continue
+        piece = apply_rule(graph, ring, w, m)
+        trace.append(TraceStep(m.rule, m.pos, word_measure(w),
+                               tuple(word_measure(u) for u in piece.terms)))
+        for u, cu in piece.terms.items():
+            ring.add_into(pending, u, c * cu)
+    return Element(ring, done), trace
+
+
+def _reentry_case():
+    """x - y = (l1 l2 v0) - (v2 l v0) + (l v0 v0) for l = l1 l2 on (1, 2):
+    in that pop order each word composes to l v0, so l v0 enters pending,
+    cancels and enters again, and its stale heap entry is popped before
+    l."""
+    l1, l2 = Path((2,), (1,), (1,)), Path((1,), (0,), (2,))
+    lam, v0, v2 = compose(l1, l2), letter(vertex((0,))), letter(vertex((2,)))
+    x = Element.from_terms(ZZ, [((letter(l1), letter(l2), v0), 1),
+                                ((letter(lam), v0, v0), 1)])
+    y = Element.from_word(ZZ, (v2, letter(lam), v0))
+    return StandardKGraph(1, 2), [x, y]
+
+
+@SETTINGS
+@given(graph_and(2), st.sampled_from(("int", "zmod:5")))
+@example(_reentry_case(), "int")
+@example(_reentry_case(), "zmod:5")
+def test_normalize_rewrites_in_max_scan_order(case, ring_spec):
+    """The heap pops words in the order of a max scan, also when a word
+    cancels in pending and enters it again."""
+    graph, (x, y) = case
+    ring = ring_from_spec(ring_spec)
+    x = x.convert(ring) - y.convert(ring)
+    trace = []
+    got = normalize(graph, x, trace=trace.append)
+    assert (got, trace) == max_scan_normalize(graph, x)

@@ -157,6 +157,38 @@ def test_apply_rule_raises_ordering_violation(monkeypatch):
         apply_rule(G22, ZZ, word, find_redex(word))
 
 
+def test_normalize_raises_ordering_violation(monkeypatch):
+    # the check runs on the cached measures normalize hands apply_rule
+    lam = Path((1, 0), (0, 0), (1,))
+    monkeypatch.setattr(rewrite, "_rhs_words", lambda graph, w, m: [(w, 1)])
+    with pytest.raises(OrderingViolation):
+        normalize(G22, elem(letter(lam), letter(lam, ghost=True)))
+
+
+def test_normalize_measures_each_word_once(monkeypatch):
+    from collections import Counter
+
+    d = 8
+    lam = Path((d, d), (0, d), (1,) * d)
+    mu = Path((d, d), (d, 0), (1,) * d)
+    ladder = elem(letter(lam, ghost=True), letter(mu))
+    g23, v = StandardKGraph(2, 3), (0, 0)
+    kp4 = elem(letter(vertex(v))) - Element.from_terms(
+        ZZ, [((letter(p), letter(p, ghost=True)), 1)
+             for p in g23.paths(v, (2, 2))])
+    real, measured = rewrite.word_measure, Counter()
+
+    def spy(w):
+        measured[w] += 1
+        return real(w)
+
+    monkeypatch.setattr(rewrite, "word_measure", spy)
+    for graph, x, size in ((G22, ladder, 2 ** d), (g23, kp4, 0)):
+        measured.clear()
+        assert len(normalize(graph, x).terms) == size
+        assert measured and set(measured.values()) == {1}
+
+
 def test_normalize_spec_examples():
     g11 = StandardKGraph(1, 1)
     lam = Path((1,), (0,), (1,))

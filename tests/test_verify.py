@@ -297,3 +297,30 @@ def test_sampled_relations_are_never_zero(monkeypatch, name):
                     continue
                 zero = sum(1 for elem in handed if elem.is_zero())
                 assert zero == 0, (k, level, bound, zero)
+
+
+def test_lemma12_offers_every_nhat_below_the_meet(monkeypatch):
+    """n-hat ranges over all nonzero degrees below meet(m, n), so a meet of
+    (1,1) can be shrunk by (1,1) itself.  Each case calls s_set twice: on
+    (m, n) and on (m - n-hat, n - n-hat); the rewriter's calls are not
+    counted."""
+    import sys
+
+    from kumjian_pask.kgraph import leq, meet, vsub
+    from kumjian_pask.verify import check_lemma12
+
+    real, degrees = StandardKGraph.s_set, []
+
+    def spy(self, v, w, dm, dn, p, q):
+        if sys._getframe(1).f_globals["__name__"] == "kumjian_pask.verify":
+            degrees.append((dm, dn))
+        return real(self, v, w, dm, dn, p, q)
+
+    monkeypatch.setattr(StandardKGraph, "s_set", spy)
+    report = check_lemma12(StandardKGraph(2, 2), seed=1405, cases=500)
+    assert report.passed and report.cases == 500
+    assert len(degrees) == 2 * report.cases
+    drawn = [(meet(m, n), vsub(m, m2))
+             for (m, n), (m2, _) in zip(degrees[::2], degrees[1::2])]
+    assert all(leq(nhat, cap) and any(nhat) for cap, nhat in drawn)
+    assert ((1, 1), (1, 1)) in drawn
