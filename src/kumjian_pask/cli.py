@@ -9,7 +9,8 @@
 k and level are always explicit.  Element arguments starting with '@' are
 read from the named file.  Exit status: 0 on success or passing checks, 1
 on check failure, 2 on usage errors (including malformed elements and a
---case-index that names no case of the run).
+--case-index that names no case of the run), 141 (128 + SIGPIPE) when the
+reader closes stdout early.
 Output is byte-reproducible from flags and seed; no environment variables
 are consulted.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -42,7 +44,8 @@ def _parse_window(text: str, k: int, degree_bound: int) -> Window:
     if len(pieces) == 1:
         pieces = pieces * k
     if len(pieces) != k:
-        raise UsageError(f"window needs 1 or {k} ranges, got {len(pieces)}")
+        need = "1 range" if k == 1 else f"1 or {k} ranges"
+        raise UsageError(f"window needs {need}, got {len(pieces)}")
     lo, hi = [], []
     for piece in pieces:
         m = _RANGE_RE.match(piece.strip())
@@ -273,10 +276,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, verify.CaseIndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (kpalg ... | head).  Point stdout at
+        # devnull so that the flush at shutdown does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

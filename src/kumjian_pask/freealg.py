@@ -7,12 +7,14 @@ coefficient * word over a commutative coefficient ring.  The algebra is
 non-unital: there is no empty word, because the vertex set is infinite.
 
 Coefficients are plain Python ints interpreted by a Ring instance, so all
-arithmetic is exact.
+arithmetic is exact.  Letters are tuples (path, ghost), validated only by
+their public constructor Letter(...); letter, star_letter and pair_word
+make valid letters by construction and skip the check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .kgraph import Path
@@ -101,20 +103,19 @@ def ring_from_spec(spec: str) -> Ring:
 # Letters and words
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Letter:
+class Letter(namedtuple("Letter", "path ghost")):
     """A generator: a path, optionally marked as its ghost.
 
     Vertices are never ghosts (v* = v); ghost vertices are rejected so that
     letter equality is canonical.
     """
 
-    path: Path
-    ghost: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ghost and self.path.is_vertex:
+    def __new__(cls, path: Path, ghost: bool = False) -> Letter:
+        if ghost and path.is_vertex:
             raise ValueError("vertices are self-adjoint; use ghost=False")
+        return tuple.__new__(cls, (path, ghost))
 
     @property
     def is_vertex(self) -> bool:
@@ -123,13 +124,13 @@ class Letter:
 
 def letter(path: Path, ghost: bool = False) -> Letter:
     """Letter factory that silently drops the ghost mark on vertices."""
-    return Letter(path, ghost and not path.is_vertex)
+    return tuple.__new__(Letter, (path, ghost and not path.is_vertex))
 
 
 def star_letter(x: Letter) -> Letter:
     if x.path.is_vertex:
         return x
-    return Letter(x.path, not x.ghost)
+    return tuple.__new__(Letter, (x.path, not x.ghost))
 
 
 def letter_key(x: Letter) -> tuple:
@@ -143,7 +144,8 @@ Word = tuple[Letter, ...]
 
 def pair_word(lam: Path, mu: Path) -> Word:
     """The two-letter word lam . mu* (letters canonicalize vertices)."""
-    return (letter(lam), letter(mu, ghost=True))
+    return (tuple.__new__(Letter, (lam, False)),
+            tuple.__new__(Letter, (mu, not mu.is_vertex)))
 
 
 def word_star(w: Word) -> Word:

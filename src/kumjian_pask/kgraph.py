@@ -10,11 +10,17 @@ Level vectors are written (lv_n, ..., lv_1): the entry lv_1 closest to the
 source is the last tuple component.  Tuples here keep that display order,
 so "the bottom j entries" of a level vector lv is the slice lv[-j:] and
 "the top j entries" is lv[:j].
+
+Paths are tuples (range, source, levels), validated only by their public
+constructors Path(...) and StandardKGraph.path; the builders here whose
+output is a path by construction (compose, factorize, paths, s_set, ...)
+skip the check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 Coords = tuple[int, ...]
@@ -101,8 +107,7 @@ def degrees_upto(k: int, bound: int, min_norm: int = 0) -> list[Coords]:
 # Paths
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(namedtuple("Path", "range source levels")):
     """A path of the standard k-graph: range vertex, source vertex, levels.
 
     ``levels`` is the level vector in display order (lv_n, ..., lv_1).  A
@@ -111,9 +116,12 @@ class Path:
     its factories and by the parser.
     """
 
-    range: Coords
-    source: Coords
-    levels: Coords
+    __slots__ = ()
+
+    def __new__(cls, range: Coords, source: Coords, levels: Coords) -> Path:
+        self = tuple.__new__(cls, (range, source, levels))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if len(self.range) != len(self.source):
@@ -136,10 +144,16 @@ class Path:
         return self.range == self.source
 
 
+def _path(range_v: Coords, source_v: Coords, levels: Coords) -> Path:
+    """A Path without validation, for builders whose output is a path by
+    construction."""
+    return tuple.__new__(Path, (range_v, source_v, levels))
+
+
 def vertex(coords: Coords) -> Path:
     """The degree-zero path at a lattice point."""
     c = tuple(coords)
-    return Path(c, c, ())
+    return _path(c, c, ())
 
 
 def compose(a: Path, b: Path) -> Path:
@@ -147,7 +161,7 @@ def compose(a: Path, b: Path) -> Path:
     if a.source != b.range:
         raise CompositionError(
             f"cannot compose: source {a.source} != range {b.range}")
-    return Path(a.range, b.source, a.levels + b.levels)
+    return _path(a.range, b.source, a.levels + b.levels)
 
 
 def factorize(lam: Path, m: Coords, n: Coords) -> tuple[Path, Path]:
@@ -158,8 +172,8 @@ def factorize(lam: Path, m: Coords, n: Coords) -> tuple[Path, Path]:
         raise DegreeSplitError(
             f"split {m} + {n} does not equal degree {lam.degree}")
     mid = vsub(lam.range, m)
-    top = Path(lam.range, mid, lam.levels[:norm(m)])
-    bottom = Path(mid, lam.source, lam.levels[norm(m):])
+    top = _path(lam.range, mid, lam.levels[:norm(m)])
+    bottom = _path(mid, lam.source, lam.levels[norm(m):])
     return top, bottom
 
 
@@ -228,7 +242,7 @@ class StandardKGraph:
         if not is_degree(n):
             raise KGraphError(f"degree {n} must lie in N^k")
         src = vsub(v, n)
-        return [Path(v, src, lv)
+        return [_path(v, src, lv)
                 for lv in itertools.product(range(1, self.level + 1),
                                             repeat=norm(n))]
 
@@ -237,7 +251,7 @@ class StandardKGraph:
         v = self._check_coords(v)
         if not is_degree(n):
             raise KGraphError(f"degree {n} must lie in N^k")
-        return Path(v, vsub(v, n), (1,) * norm(n))
+        return _path(v, vsub(v, n), (1,) * norm(n))
 
     def s_set(self, v: Coords, w: Coords, m: Coords, n: Coords,
               p: Coords, q: Coords) -> list[tuple[Path, Path]]:
@@ -259,7 +273,7 @@ class StandardKGraph:
         alpha_src, beta_src = vsub(v, m), vsub(w, n)
         out = []
         for r in itertools.product(range(1, self.level + 1), repeat=shared):
-            out.append((Path(v, alpha_src, p + r), Path(w, beta_src, q + r)))
+            out.append((_path(v, alpha_src, p + r), _path(w, beta_src, q + r)))
         return out
 
     def s_of(self, lam: Path, mu: Path) -> list[tuple[Path, Path]]:

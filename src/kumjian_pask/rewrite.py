@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Optional
 from . import canonical
 from .freealg import Element, Letter, Ring, Word, letter, pair_word, word_key
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
-                     factorize, leq, meet, trailing_ones, vsub)
+                     factorize, is_degree, leq, meet, norm, trailing_ones,
+                     vsub)
 
 
 class RewriteFault(RuntimeError):
@@ -118,13 +119,26 @@ def _outer(y: Letter) -> Coords:
     return y.path.source if y.ghost else y.path.range
 
 
+def _expansion_bounds(lam: Path, mu: Path) -> tuple[Coords, int]:
+    """Both paths end in the all-ones path of degree n exactly when
+    0 < n <= d(lam) meet d(mu) and |n| is within the common trailing run of
+    1-entries; returns that meet and that run."""
+    return (meet(lam.degree, mu.degree),
+            min(trailing_ones(lam.levels), trailing_ones(mu.levels)))
+
+
 def valid_expansions(lam: Path, mu: Path) -> list[Coords]:
     """All degrees n for which both paths end in the all-ones path of
-    degree n: 0 < n <= d(lam) meet d(mu) and |n| within the common trailing
-    run of 1-entries.  Ordered by (|n|, n)."""
-    cap = meet(lam.degree, mu.degree)
-    run = min(trailing_ones(lam.levels), trailing_ones(mu.levels))
+    degree n, ordered by (|n|, n)."""
+    cap, run = _expansion_bounds(lam, mu)
     return [n for n in degrees_upto(len(cap), run, 1) if leq(n, cap)]
+
+
+def is_valid_expansion(lam: Path, mu: Path, n: Coords) -> bool:
+    """n in valid_expansions(lam, mu), decided without listing them."""
+    cap, run = _expansion_bounds(lam, mu)
+    return (len(n) == len(cap) and is_degree(n) and 0 < norm(n) <= run
+            and leq(n, cap))
 
 
 def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
@@ -201,7 +215,7 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
     # the stripped pair, whose first member is the all-ones extension (s_set
     # enumerates the shared bottom tuple lexicographically)
     n = m.expand_degree
-    if n is None or n not in valid_expansions(x.path, y.path):
+    if n is None or not is_valid_expansion(x.path, y.path, n):
         raise RewriteFault(f"invalid R4 expansion degree {n}")
     lam = factorize(x.path, vsub(x.path.degree, n), n)[0]
     mu = factorize(y.path, vsub(y.path.degree, n), n)[0]

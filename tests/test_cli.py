@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,17 @@ def test_per_coordinate_window(capsys):
     assert code == 0
     assert out.splitlines() == ["v(0,-1)", "v(0,0)", "v(1,-1)", "v(1,0)"]
 
+
+
+def test_window_range_count_message(capsys):
+    code, out, err = run_cli(capsys, "basis", "--k", "1", "--level", "2",
+                             "--window", "0..0,0..0")
+    assert (code, out) == (2, "")
+    assert err == "error: window needs 1 range, got 2\n"
+    code, out, err = run_cli(capsys, "basis", "--k", "2", "--level", "2",
+                             "--window", "0..0,0..0,0..0")
+    assert (code, out) == (2, "")
+    assert err == "error: window needs 1 or 2 ranges, got 3\n"
 
 def test_element_from_file(tmp_path, capsys):
     path = tmp_path / "element.txt"
@@ -283,3 +298,23 @@ def test_huge_coefficients_print_exactly(capsys):
     assert code == 0
     assert json.loads(out)["element"]["terms"] == [
         {"coeff": digits, "word": ["v(0)"]}]
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that stops early (kpalg ... | head -c 10) gets exit status
+    141 and no traceback.  The d = 12 ladder prints about 370 kB, far more
+    than a pipe buffers, so the write after the close always fails."""
+    ones = ",".join(["1"] * 12)
+    ladder = f"p[(12,12)->(0,12);{ones}]* . p[(12,12)->(12,0);{ones}]"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kumjian_pask", "normalize", "--k", "2",
+         "--level", "2", ladder],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b"1 * p[(0,1"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")

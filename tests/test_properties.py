@@ -1,18 +1,27 @@
 """Properties of the normal form that the engine relies on, checked on
 random free-algebra elements: translation equivariance, reduction from Z
 to Z/n, the star anti-involution in the quotient, linearity, and the
-scheduler's rewrite order."""
+scheduler's rewrite order.  Also the invariants of the tuple-backed paths
+and letters: builders that skip validation only make valid values, and
+every word the engine stores is a tuple of exact Letter and Path
+instances."""
 
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kumjian_pask.algebra import kp_mul, kp_star
-from kumjian_pask.freealg import (Element, IntegerRing, ModularRing, letter,
-                                 ring_from_spec, word_key)
+from kumjian_pask import canonical, rewrite
+from kumjian_pask.algebra import enumerate_basis, kp_mul, kp_star, uniform_window
+from kumjian_pask.freealg import (Element, IntegerRing, Letter, ModularRing,
+                                 letter, pair_word, ring_from_spec,
+                                 star_letter, word_key)
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
-                                 norm, vadd, vertex, vsub)
+                                 factorize, norm, vadd, vertex, vsub)
 from kumjian_pask.rewrite import (TraceStep, apply_rule, find_redex,
                                   normalize, word_measure)
+from kumjian_pask.syntax import format_element, parse_element
 
 ZZ = IntegerRing()
 GRAPHS = [StandardKGraph(k, level) for k in (1, 2) for level in (1, 2)]
@@ -157,3 +166,129 @@ def test_normalize_rewrites_in_max_scan_order(case, ring_spec):
     trace = []
     got = normalize(graph, x, trace=trace.append)
     assert (got, trace) == max_scan_normalize(graph, x)
+
+
+# --------------------------------------------------------------------------
+# Tuple-backed paths and letters
+# --------------------------------------------------------------------------
+
+@st.composite
+def paths(draw, graph, r=None, s=None, lo_norm=0):
+    """A path of degree lo_norm <= |n| <= 3; its range is r, or s + n, or a
+    point of the box -2..2."""
+    n = draw(st.sampled_from(degrees_upto(graph.k, 3, lo_norm)))
+    if r is None:
+        r = draw(coords(graph.k, -2, 2)) if s is None else vadd(s, n)
+    return Path(r, vsub(r, n), draw(level_vectors(graph, norm(n))))
+
+
+def level_vectors(graph, size):
+    return st.lists(st.integers(1, graph.level), min_size=size,
+                    max_size=size).map(tuple)
+
+
+@SETTINGS
+@given(st.builds(StandardKGraph, st.integers(1, 3), st.integers(1, 3)),
+       st.data())
+def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
+    """vertex, compose, factorize, paths, all_ones_path, s_set and s_of
+    build paths without the validator, and letter, star_letter and
+    pair_word build letters without it; Path(*p) and Letter(*x) run it on
+    each output.  canonical.representative, which validates, is checked
+    too."""
+    draw = data.draw
+    lam = draw(paths(graph))
+    built = [compose(lam, draw(paths(graph, r=lam.source)))]
+    m = tuple(draw(st.integers(0, d)) for d in lam.degree)
+    built += factorize(lam, m, vsub(lam.degree, m))
+    n = draw(st.sampled_from(degrees_upto(graph.k, 2)))
+    built += graph.paths(lam.range, n)
+    built.append(graph.all_ones_path(lam.range, n))
+    m, n = (draw(st.sampled_from(degrees_upto(graph.k, 3))) for _ in "mn")
+    shared = draw(st.integers(0, min(norm(m), norm(n), 2)))
+    built += [p for pair in graph.s_set(
+        lam.range, draw(coords(graph.k, -2, 2)), m, n,
+        draw(level_vectors(graph, norm(m) - shared)),
+        draw(level_vectors(graph, norm(n) - shared))) for p in pair]
+    # s_of is empty unless the level vectors agree at the top, so mu copies
+    # lam's top entries
+    lam, mu = (draw(paths(graph, r=lam.range, lo_norm=1)) for _ in "lm")
+    j = min(len(lam.levels), len(mu.levels))
+    mu = Path(mu.range, mu.source, lam.levels[:j] + mu.levels[j:])
+    built += [p for pair in graph.s_of(lam, mu) for p in pair]
+    src = draw(coords(graph.k, -2, 2))
+    built.append(vertex(src))
+    a, b = (draw(paths(graph, s=src, lo_norm=1)) for _ in "ab")
+    if canonical.in_A(a, b):
+        built += canonical.representative(canonical.class_key(a, b))
+    for p in built:
+        assert type(p) is Path and Path(*p) == p
+    letters = [letter(p, ghost) for p in built for ghost in (False, True)]
+    letters += [star_letter(x) for x in letters]
+    letters += pair_word(lam, mu) + pair_word(vertex(src), a)
+    for x in letters:
+        assert type(x) is Letter and type(x.path) is Path and Letter(*x) == x
+
+
+def assert_exact_words(elem):
+    """A namedtuple equals the bare tuple of its fields, so a word built
+    from plain tuples would be a different-typed key equal to the real one.
+    Every word must be a tuple of exact Letter instances over exact Paths."""
+    for w in elem.terms:
+        assert type(w) is tuple and w
+        for x in w:
+            assert type(x) is Letter and type(x.path) is Path
+
+
+@contextmanager
+def checking_produced_words():
+    """Check every word that a rewrite step adds to normalize's pending sum."""
+    real = rewrite.apply_rule
+
+    def spy(*args, **kwargs):
+        piece = real(*args, **kwargs)
+        assert_exact_words(piece)
+        return piece
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "apply_rule", spy)
+        yield
+
+
+def assert_exact_normalize_and_parse(graph, x):
+    with checking_produced_words():
+        nf = normalize(graph, x)
+    assert_exact_words(nf)
+    for y in (x, nf):
+        assert_exact_words(parse_element(format_element(y), graph, x.ring))
+    return nf
+
+
+@SETTINGS
+@given(graph_and(1))
+def test_words_are_exact_letter_tuples(case):
+    graph, (x,) = case
+    assert_exact_normalize_and_parse(graph, x)
+
+
+def test_words_are_exact_on_the_ladder_kp4_and_the_basis():
+    d, g22 = 8, StandardKGraph(2, 2)
+    ladder = Element.from_word(ZZ, (
+        letter(Path((d, d), (0, d), (1,) * d), ghost=True),
+        letter(Path((d, d), (d, 0), (1,) * d))))
+    assert len(assert_exact_normalize_and_parse(g22, ladder).terms) == 2 ** d
+    g23, v = StandardKGraph(2, 3), (0, 0)
+    lams = g23.paths(v, (2, 2))
+    kp4 = Element.from_word(ZZ, (letter(vertex(v)),)) - Element.from_terms(
+        ZZ, [((letter(p), letter(p, ghost=True)), 1) for p in lams])
+    assert assert_exact_normalize_and_parse(g23, kp4).is_zero()
+    # each λλ* alone has a nonzero normal form, so its words get checked
+    for p in lams[:3]:
+        assert_exact_normalize_and_parse(
+            g23, Element.from_word(ZZ, (letter(p), letter(p, ghost=True))))
+    for graph in (g22, StandardKGraph(1, 3)):
+        basis = enumerate_basis(graph, uniform_window(graph.k, -1, 1, 2))
+        assert_exact_words(Element.from_terms(ZZ, [(w, 1) for w in basis]))
+        assert_exact_words(parse_element(
+            " + ".join(format_element(Element.from_word(ZZ, w))
+                       for w in basis), graph, ZZ))

@@ -10,9 +10,10 @@ from kumjian_pask.freealg import Element, IntegerRing, letter
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  factorize, leq, meet, norm, vadd, vsub,
                                  vertex)
-from kumjian_pask.rewrite import (OrderingViolation, RedexMatch, RuleId,
-                                  TerminationFault, all_redexes, apply_rule,
-                                  find_redex, match_at, normalize,
+from kumjian_pask.rewrite import (OrderingViolation, RedexMatch,
+                                  RewriteFault, RuleId, TerminationFault,
+                                  all_redexes, apply_rule, find_redex,
+                                  is_valid_expansion, match_at, normalize,
                                   valid_expansions, word_measure)
 
 ZZ = IntegerRing()
@@ -316,6 +317,35 @@ def test_valid_expansions_oracle():
         for n in got:
             assert factorize(lam, vsub(lam.degree, n), n)[1].levels == (1,) * norm(n)
 
+
+
+def test_is_valid_expansion_matches_the_list():
+    """R4 checks its degree with is_valid_expansion; it must accept exactly
+    the degrees valid_expansions lists, and apply_rule must refuse others."""
+    rng = random.Random("expansion-check")
+    checked = 0
+    for _ in range(200):
+        graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
+        v = tuple(rng.randint(-2, 2) for _ in range(graph.k))
+        ones = graph.all_ones_path(v, rng.choice(degrees_upto(graph.k, 2)))
+        lam = compose(_rand_path(rng, graph, 0, 2, source_v=v), ones)
+        mu = compose(_rand_path(rng, graph, 0, 2, source_v=v), ones)
+        if lam.is_vertex or mu.is_vertex:
+            continue
+        got = valid_expansions(lam, mu)
+        candidates = degrees_upto(graph.k, 4) + [
+            (-1,) + (1,) * graph.k, (-1,) + (2,) * (graph.k - 1), (1,) * 3]
+        for n in candidates:
+            assert is_valid_expansion(lam, mu, n) == (n in got)
+        word = (letter(lam), letter(mu, ghost=True))
+        if getattr(find_redex(word), "rule", None) is RuleId.R4_EXPAND:
+            for n in candidates:
+                if n not in got:
+                    checked += 1
+                    with pytest.raises(RewriteFault):
+                        apply_rule(graph, ZZ, word, RedexMatch(
+                            RuleId.R4_EXPAND, 0, expand_degree=n))
+    assert checked
 
 def test_all_redexes_covers_r4_instances():
     lam0 = Path((2, 0), (1, 0), (2,))
