@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import sub
 
 Coords = tuple[int, ...]
 
@@ -137,7 +138,8 @@ class Path(namedtuple("Path", "range source levels")):
 
     @property
     def degree(self) -> Coords:
-        return vsub(self.range, self.source)
+        # range and source have equal lengths, checked at construction
+        return tuple(map(sub, self.range, self.source))
 
     @property
     def is_vertex(self) -> bool:
@@ -270,11 +272,16 @@ class StandardKGraph:
             raise ShapeError(
                 f"need |m|-|p| = |n|-|q| >= 0, got {norm(m)}-{len(p)} "
                 f"and {norm(n)}-{len(q)}")
+        return self._s_set(v, w, m, n, p, q)
+
+    def _s_set(self, v: Coords, w: Coords, m: Coords, n: Coords,
+               p: Coords, q: Coords) -> list[tuple[Path, Path]]:
+        """s_set without its checks, for callers whose arguments are valid
+        by construction (s_of and rule R4)."""
         alpha_src, beta_src = vsub(v, m), vsub(w, n)
-        out = []
-        for r in itertools.product(range(1, self.level + 1), repeat=shared):
-            out.append((_path(v, alpha_src, p + r), _path(w, beta_src, q + r)))
-        return out
+        return [(_path(v, alpha_src, p + r), _path(w, beta_src, q + r))
+                for r in itertools.product(range(1, self.level + 1),
+                                           repeat=norm(m) - len(p))]
 
     def s_of(self, lam: Path, mu: Path) -> list[tuple[Path, Path]]:
         """All (alpha, beta) with lam o alpha = mu o beta of minimal degree
@@ -295,5 +302,5 @@ class StandardKGraph:
         excess_lam = len(lam.levels) - len(mu.levels)
         p = mu.levels[-excess_mu:] if excess_mu > 0 else ()
         q = lam.levels[-excess_lam:] if excess_lam > 0 else ()
-        return self.s_set(lam.source, mu.source, monus(dm, dl), monus(dl, dm),
-                          p, q)
+        return self._s_set(lam.source, mu.source, monus(dm, dl),
+                           monus(dl, dm), p, q)

@@ -212,15 +212,15 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
         lam, mu = canonical.representative(canonical.class_key(x.path, y.path))
         return [(pair(lam, mu), 1)]
     # R4: strip the all-ones factor of degree n and expand over the S-set of
-    # the stripped pair, whose first member is the all-ones extension (s_set
+    # the stripped pair, whose first member is the all-ones extension (_s_set
     # enumerates the shared bottom tuple lexicographically)
     n = m.expand_degree
     if n is None or not is_valid_expansion(x.path, y.path, n):
         raise RewriteFault(f"invalid R4 expansion degree {n}")
     lam = factorize(x.path, vsub(x.path.degree, n), n)[0]
     mu = factorize(y.path, vsub(y.path.degree, n), n)[0]
-    ext = graph.s_set(x.path.range, y.path.range, x.path.degree,
-                      y.path.degree, lam.levels, mu.levels)
+    ext = graph._s_set(x.path.range, y.path.range, x.path.degree,
+                       y.path.degree, lam.levels, mu.levels)
     return [(pair(lam, mu), 1)] + [(pair(a, b), -1) for a, b in ext[1:]]
 
 

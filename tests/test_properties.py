@@ -63,9 +63,9 @@ def elements(graph):
 
 
 @st.composite
-def graph_and(draw, count):
-    """A graph and count elements over it."""
-    graph = draw(st.sampled_from(GRAPHS))
+def graph_and(draw, count, graphs=GRAPHS):
+    """A graph drawn from graphs, and count elements over it."""
+    graph = draw(st.sampled_from(graphs))
     return graph, [draw(elements(graph)) for _ in range(count)]
 
 
@@ -77,8 +77,10 @@ def translate(x: Element, t) -> Element:
 
 
 @SETTINGS
-@given(graph_and(1), st.data())
+@given(graph_and(1, GRAPHS + [StandardKGraph(2, 3)]), st.data())
 def test_normal_form_is_translation_equivariant(case, data):
+    """NF(x + t) = NF(x) + t.  check_kp_relations relies on it at every
+    level, so level 3 is drawn too."""
     graph, (x,) = case
     t = data.draw(coords(graph.k, -3, 3))
     assert normalize(graph, translate(x, t)) == translate(normalize(graph, x),
@@ -191,8 +193,8 @@ def level_vectors(graph, size):
 @given(st.builds(StandardKGraph, st.integers(1, 3), st.integers(1, 3)),
        st.data())
 def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
-    """vertex, compose, factorize, paths, all_ones_path, s_set and s_of
-    build paths without the validator, and letter, star_letter and
+    """vertex, compose, factorize, paths, all_ones_path, s_set, _s_set and
+    s_of build paths without the validator, and letter, star_letter and
     pair_word build letters without it; Path(*p) and Letter(*x) run it on
     each output.  canonical.representative, which validates, is checked
     too."""
@@ -206,10 +208,12 @@ def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
     built.append(graph.all_ones_path(lam.range, n))
     m, n = (draw(st.sampled_from(degrees_upto(graph.k, 3))) for _ in "mn")
     shared = draw(st.integers(0, min(norm(m), norm(n), 2)))
-    built += [p for pair in graph.s_set(
-        lam.range, draw(coords(graph.k, -2, 2)), m, n,
-        draw(level_vectors(graph, norm(m) - shared)),
-        draw(level_vectors(graph, norm(n) - shared))) for p in pair]
+    shape = (lam.range, draw(coords(graph.k, -2, 2)), m, n,
+             draw(level_vectors(graph, norm(m) - shared)),
+             draw(level_vectors(graph, norm(n) - shared)))
+    # _s_set is s_set without the argument checks
+    assert graph._s_set(*shape) == graph.s_set(*shape)
+    built += [p for pair in graph._s_set(*shape) for p in pair]
     # s_of is empty unless the level vectors agree at the top, so mu copies
     # lam's top entries
     lam, mu = (draw(paths(graph, r=lam.range, lo_norm=1)) for _ in "lm")

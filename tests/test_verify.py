@@ -3,7 +3,7 @@ seeds, and report failures faithfully."""
 
 import pytest
 
-from kumjian_pask.algebra import uniform_window
+from kumjian_pask.algebra import Window, uniform_window
 from kumjian_pask.freealg import IntegerRing, ModularRing
 from kumjian_pask.kgraph import StandardKGraph
 from kumjian_pask.verify import (CHECKS, CheckReport, _run_cases,
@@ -324,3 +324,94 @@ def test_lemma12_offers_every_nhat_below_the_meet(monkeypatch):
              for (m, n), (m2, _) in zip(degrees[::2], degrees[1::2])]
     assert all(leq(nhat, cap) and any(nhat) for cap, nhat in drawn)
     assert ((1, 1), (1, 1)) in drawn
+
+
+@pytest.mark.parametrize("k,level,window", [
+    (1, 1, uniform_window(1, -2, 2, 2)),
+    (1, 2, uniform_window(1, -2, 2, 2)),
+    (2, 1, uniform_window(2, -2, 2, 2)),
+    (2, 2, uniform_window(2, -2, 2, 2)),
+    (2, 3, Window((0, -1), (2, 1), 2)),
+], ids=["1-1", "1-2", "2-1", "2-2", "2-3"])
+def test_kp_memo_agrees_with_direct_normalization(k, level, window):
+    """The uncached reference: every kp relation instance, normalized
+    directly, is 0, and the memoized report passes over the same number
+    of cases."""
+    from kumjian_pask.rewrite import normalize
+    from kumjian_pask.verify import _kp_instances
+
+    graph = StandardKGraph(k, level)
+    instances = list(_kp_instances(graph, window, IntegerRing()))
+    nonzero = [(family, rel) for family, rel in instances
+               if not normalize(graph, rel).is_zero()]
+    assert nonzero == []
+    report = check_kp_relations(graph, window)
+    assert report.passed and report.cases == len(instances)
+
+
+def test_kp_normalizes_one_relation_per_translation_class(monkeypatch):
+    """At (2,2) on -3..3 with bound 3, the 20,630 instances fall into 806
+    translation classes; the memo lives for one run, so a second run in the
+    same process makes as many normalize calls as the first."""
+    from kumjian_pask import verify
+
+    real, calls = verify.normalize, []
+
+    def spy(graph, elem, **kwargs):
+        calls.append(elem)
+        return real(graph, elem, **kwargs)
+
+    monkeypatch.setattr(verify, "normalize", spy)
+    graph, window = StandardKGraph(2, 2), uniform_window(2, -3, 3, 3)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        report = check_kp_relations(graph, window)
+        assert report.passed and report.cases == 20630
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= report.cases // 20
+
+
+def test_kp_anchored_key_tells_translates_from_other_relations():
+    """Equal anchored keys mean a term-by-term translate by one vector;
+    another coefficient, ghost tag or relative position gives another
+    key."""
+    from kumjian_pask.freealg import Element, letter
+    from kumjian_pask.kgraph import Path
+    from kumjian_pask.verify import _anchored_key
+
+    ring = IntegerRing()
+    graph = StandardKGraph(2, 2)
+
+    def rel(t, u=0, c=-1, ghost=True):
+        lam = Path((1 + t + u, 1), (t + u, 1), (2,))
+        v = letter(graph.vertex((1 + t, 1)))
+        return Element.from_terms(ring, [((v, letter(lam)), 1),
+                                         ((letter(lam, ghost),), c)])
+
+    key = _anchored_key(rel(0))
+    assert key == _anchored_key(rel(5)) == _anchored_key(rel(-3))
+    for other in (rel(0, u=1), rel(0, c=1), rel(0, ghost=False)):
+        assert _anchored_key(other) != key
+
+
+def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
+    """With an engine that leaves every relation with a level-2 entry
+    unreduced, exactly those instances fail, though each has translates
+    and same-shape relations of other levels that pass."""
+    from kumjian_pask import verify
+    from kumjian_pask.verify import _kp_instances
+
+    graph, window = StandardKGraph(2, 2), uniform_window(2, -2, 2, 2)
+
+    def has_level_2(elem):
+        return any(2 in x.path.levels for w in elem.terms for x in w)
+
+    real = verify.normalize
+    monkeypatch.setattr(verify, "normalize", lambda graph, elem: (
+        elem if has_level_2(elem) else real(graph, elem)))
+    expected = [i for i, (_, rel) in enumerate(
+        _kp_instances(graph, window, IntegerRing())) if has_level_2(rel)]
+    report = check_kp_relations(graph, window)
+    assert 0 < len(expected) < report.cases
+    assert [f.index for f in report.failures] == expected
