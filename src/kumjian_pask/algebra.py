@@ -87,11 +87,8 @@ def basis_shape(w: Word) -> str | None:
         if x.path.is_vertex:
             return "vertex"
         return "ghost" if x.ghost else "path"
-    if len(w) == 2:
-        x, y = w
-        if (not x.ghost and y.ghost
-                and canonical.pair_kind(x.path, y.path) == "representative"):
-            return "pair"
+    if len(w) == 2 and canonical.pair_kind(*w) == "representative":
+        return "pair"
     return None
 
 

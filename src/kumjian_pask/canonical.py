@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .freealg import Letter, pair_word
 from .kgraph import Coords, Path, degrees_upto, meet, norm, vsub
 
 PathPair = tuple[Path, Path]
@@ -43,21 +44,13 @@ class ClassKey:
     right_levels: Coords
 
 
-def check_pair(lam: Path, mu: Path) -> None:
-    """Validate membership in the ambient pair set (nonzero, same source)."""
-    if lam.is_vertex or mu.is_vertex:
-        raise PairError("pair components must have nonzero degree")
-    if lam.source != mu.source:
-        raise PairError(
-            f"pair components must share a source, got {lam.source} "
-            f"and {mu.source}")
-
-
 def in_A(lam: Path, mu: Path) -> bool:
-    """True iff the pair has no common trailing all-ones factor."""
-    check_pair(lam, mu)
-    return (lam.levels[-1] != 1 or mu.levels[-1] != 1
-            or all(x == 0 for x in meet(lam.degree, mu.degree)))
+    """True iff the pair has no common trailing all-ones factor; PairError
+    unless both paths have nonzero degree and a common source."""
+    kind = pair_kind(*pair_word(lam, mu))
+    if kind is None:
+        raise PairError(f"not a same-source pair of nonzero degree: {lam}, {mu}")
+    return kind != "unreduced"
 
 
 def class_key(lam: Path, mu: Path) -> ClassKey:
@@ -113,13 +106,16 @@ def in_R(lam: Path, mu: Path) -> bool:
     return lam.source == rep_source(class_key(lam, mu))
 
 
-def pair_kind(lam: Path, mu: Path) -> str | None:
-    """Classify the pair behind a word lam . mu*: None unless both paths
-    have nonzero degree and a common source; otherwise 'unreduced' (not in
-    A), 'representative' (in R) or 'nonrep' (in A but not in R)."""
-    if lam.is_vertex or mu.is_vertex or lam.source != mu.source:
+def pair_kind(x: Letter, y: Letter) -> str | None:
+    """The one path-ghost pair test.  Classify the two-letter word x . y:
+    None unless x is a path and y a ghost, both of nonzero degree with a
+    common source; otherwise 'unreduced' (not in A), 'representative' (in R)
+    or 'nonrep' (in A but not in R)."""
+    lam, mu = x.path, y.path
+    if x.ghost or not y.ghost or lam.is_vertex or lam.source != mu.source:
         return None
-    if not in_A(lam, mu):
+    if lam.levels[-1] == 1 and mu.levels[-1] == 1 and any(
+            meet(lam.degree, mu.degree)):
         return "unreduced"
     key = ClassKey(lam.range, mu.range, lam.levels, mu.levels)
     return "representative" if lam.source == rep_source(key) else "nonrep"

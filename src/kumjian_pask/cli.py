@@ -7,8 +7,10 @@
     kpalg check all --k 2 --level 2 --seed 42 --cases 500
 
 k and level are always explicit.  Element arguments starting with '@' are
-read from the named file.  Exit status: 0 on success or passing checks, 1
-on check failure, 2 on usage errors (including malformed elements and a
+read from the named file.  An element starting with '-' is read as an
+option unless it follows a '--' separator: kpalg mul ... "v(0)" -- "-v(0)".
+Exit status: 0 on success or passing checks, 1 on check failure, 2 on
+usage errors (including malformed elements, unreadable element files and a
 --case-index that names no case of the run), 141 (128 + SIGPIPE) when the
 reader closes stdout early.
 Output is byte-reproducible from flags and seed; no environment variables
@@ -74,7 +76,7 @@ def _element_arg(text: str, graph: StandardKGraph, ring) -> Element:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read element file: {exc}") from None
     try:
         return parse_element(text, graph, ring)

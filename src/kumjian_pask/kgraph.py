@@ -98,10 +98,16 @@ def is_degree(a: Coords) -> bool:
 
 def degrees_upto(k: int, bound: int, min_norm: int = 0) -> list[Coords]:
     """All n in N^k with min_norm <= |n| <= bound, ordered by (|n|, n)."""
-    out = [n for n in itertools.product(range(bound + 1), repeat=k)
-           if min_norm <= sum(n) <= bound]
-    out.sort(key=lambda n: (sum(n), n))
-    return out
+    if k == 0:
+        return [()] if min_norm <= 0 <= bound else []
+    # the first k - 1 coordinates with their sums, built one at a time within
+    # the bound in lexicographic order; the last coordinate makes up |n|
+    heads = [((), 0)]
+    for _ in range(k - 1):
+        heads = [(h + (c,), s + c) for h, s in heads
+                 for c in range(bound - s + 1)]
+    return [h + (t - s,) for t in range(max(min_norm, 0), bound + 1)
+            for h, s in heads if s <= t]
 
 
 # --------------------------------------------------------------------------

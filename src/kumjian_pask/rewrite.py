@@ -103,8 +103,7 @@ def word_measure(w: Word) -> WordMeasure:
             degree_value += len(x.path.levels)
             one_level_value += sum(1 for e in x.path.levels if e == 1)
     for x, y in zip(w, w[1:]):
-        if (not x.ghost and y.ghost
-                and canonical.pair_kind(x.path, y.path) == "nonrep"):
+        if canonical.pair_kind(x, y) == "nonrep":
             ar_value += 1
     return WordMeasure(len(w), entropy, degree_value, one_level_value, ar_value)
 
@@ -153,7 +152,7 @@ def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
         # ghost * path, both of nonzero degree, equal ranges
         return RedexMatch(RuleId.R3_GHOST_PATH, pos)
     # path * ghost, both of nonzero degree, equal sources
-    kind = canonical.pair_kind(x.path, y.path)
+    kind = canonical.pair_kind(x, y)
     if kind == "representative":
         return None
     if kind == "nonrep":
@@ -256,8 +255,7 @@ class _Max(NamedTuple):
 
 def normalize(graph: StandardKGraph, elem: Element, *,
               step_guard: int = DEFAULT_STEP_GUARD,
-              trace: Optional[Callable[[TraceStep], None]] = None,
-              rng=None) -> Element:
+              trace: Optional[Callable[[TraceStep], None]] = None) -> Element:
     """Fixed point of the reduction system on every term of an element.
 
     Deterministic strategy: repeatedly rewrite the pending word of largest
@@ -265,9 +263,9 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     from a max-heap with lazy deletion: a word is pushed when it enters
     pending, and an entry whose word has cancelled away is skipped.  A
     popped word never returns, as every produced word measures less than
-    its parent.  Each word is measured once.  If rng is given, both the word
-    and the redex (including the R4 expansion degree) are chosen at random
-    instead, without a heap; the normal form is the same.
+    its parent.  Each word is measured once.  The system is confluent, so
+    every strategy reaches this normal form; the tests check that against
+    their reference scheduler, which picks words and redexes at random.
 
     Raises TerminationFault if more than step_guard single-word rewrites
     are needed (unreachable for a correct engine).
@@ -287,17 +285,14 @@ def normalize(graph: StandardKGraph, elem: Element, *,
         return mkey(w)[0]
 
     # a sorted list is a heap
-    heap = sorted(_Max(mkey(w), w) for w in pending) if rng is None else None
+    heap = sorted(_Max(mkey(w), w) for w in pending)
     steps = 0
     while pending:
-        if heap is None:
-            w = rng.choice(sorted(pending, key=mkey))
-        else:
-            w = heapq.heappop(heap).word
+        w = heapq.heappop(heap).word
         c = pending.pop(w, None)
         if c is None:
             continue
-        m = find_redex(w) if rng is None else _random_redex(w, rng)
+        m = find_redex(w)
         if m is None:
             ring.add_into(done, w, c)
             continue
@@ -311,13 +306,6 @@ def normalize(graph: StandardKGraph, elem: Element, *,
         for w2, c2 in piece.terms.items():
             size = len(pending)
             ring.add_into(pending, w2, c * c2)
-            if heap is not None and len(pending) > size:
+            if len(pending) > size:
                 heapq.heappush(heap, _Max(mkey(w2), w2))
     return Element(ring, done)
-
-
-def _random_redex(w: Word, rng) -> Optional[RedexMatch]:
-    matches = all_redexes(w)
-    if not matches:
-        return None
-    return rng.choice(matches)

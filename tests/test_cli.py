@@ -141,6 +141,28 @@ def test_element_from_file(tmp_path, capsys):
     assert out == "1 * p[(1,1)->(1,0);2] . p[(1,1)->(1,0);2]*\n"
 
 
+def test_element_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "element.txt"
+    path.write_bytes(b"\xff\xfe v(0)")
+    code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level", "2",
+                             f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read element file: ")
+
+
+def test_elements_with_a_leading_minus_follow_the_separator(capsys):
+    """argparse takes '-v(0)' for an option; after '--' it is an element."""
+    code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level", "2",
+                             "--", "-v(0)")
+    assert (code, out, err) == (0, "-1 * v(0)\n", "")
+    code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level", "2",
+                             "--", "-2*v(0)")
+    assert (code, out, err) == (0, "-2 * v(0)\n", "")
+    code, out, err = run_cli(capsys, "mul", "--k", "1", "--level", "2",
+                             "v(0)", "--", "-v(0)")
+    assert (code, out, err) == (0, "-1 * v(0)\n", "")
+
+
 def test_usage_errors_exit_two(capsys):
     # malformed element
     code, _, err = run_cli(capsys, "normalize", "--k", "2", "--level", "2",

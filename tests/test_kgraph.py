@@ -1,6 +1,9 @@
 """Lattice operations, path arithmetic, enumeration, and S-sets."""
 
+import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -262,3 +265,23 @@ def test_degrees_upto_order():
     assert ds[0] == (0, 0)
     assert ds == sorted(ds, key=lambda n: (sum(n), n))
     assert set(degrees_upto(2, 1, 1)) == {(0, 1), (1, 0)}
+
+
+def test_degrees_upto_matches_the_filtered_product():
+    for k in range(6):
+        for bound in range(-1, 5):
+            for min_norm in range(4):
+                want = sorted((n for n in itertools.product(
+                    range(bound + 1), repeat=k)
+                    if min_norm <= sum(n) <= bound),
+                    key=lambda n: (sum(n), n))
+                assert degrees_upto(k, bound, min_norm) == want
+
+
+def test_degrees_upto_is_fast_in_high_rank():
+    # the filtered product would visit 4**16 tuples here
+    start = time.perf_counter()
+    ds = degrees_upto(16, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(ds) == math.comb(16 + 3, 3) == 969
+    assert ds[0] == (0,) * 16 and ds[-1] == (3,) + (0,) * 15

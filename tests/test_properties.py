@@ -16,12 +16,12 @@ from kumjian_pask import canonical, rewrite
 from kumjian_pask.algebra import enumerate_basis, kp_mul, kp_star, uniform_window
 from kumjian_pask.freealg import (Element, IntegerRing, Letter, ModularRing,
                                  letter, pair_word, ring_from_spec,
-                                 star_letter, word_key)
+                                 star_letter)
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  factorize, norm, vadd, vertex, vsub)
-from kumjian_pask.rewrite import (TraceStep, apply_rule, find_redex,
-                                  normalize, word_measure)
+from kumjian_pask.rewrite import normalize
 from kumjian_pask.syntax import format_element, parse_element
+from reference import reference_normalize
 
 ZZ = IntegerRing()
 GRAPHS = [StandardKGraph(k, level) for k in (1, 2) for level in (1, 2)]
@@ -123,25 +123,6 @@ def test_normal_form_is_linear(case, ring_spec):
     assert normalize(graph, x - y) == normalize(graph, x) - normalize(graph, y)
 
 
-def max_scan_normalize(graph, elem):
-    """The normal form and trace of a scheduler that rescans pending for the
-    word of largest (measure, word order) at every step."""
-    ring, pending, done, trace = elem.ring, dict(elem.terms), {}, []
-    while pending:
-        w = max(pending, key=lambda u: (word_measure(u), word_key(u)))
-        c = pending.pop(w)
-        m = find_redex(w)
-        if m is None:
-            ring.add_into(done, w, c)
-            continue
-        piece = apply_rule(graph, ring, w, m)
-        trace.append(TraceStep(m.rule, m.pos, word_measure(w),
-                               tuple(word_measure(u) for u in piece.terms)))
-        for u, cu in piece.terms.items():
-            ring.add_into(pending, u, c * cu)
-    return Element(ring, done), trace
-
-
 def _reentry_case():
     """x - y = (l1 l2 v0) - (v2 l v0) + (l v0 v0) for l = l1 l2 on (1, 2):
     in that pop order each word composes to l v0, so l v0 enters pending,
@@ -167,7 +148,7 @@ def test_normalize_rewrites_in_max_scan_order(case, ring_spec):
     x = x.convert(ring) - y.convert(ring)
     trace = []
     got = normalize(graph, x, trace=trace.append)
-    assert (got, trace) == max_scan_normalize(graph, x)
+    assert (got, trace) == reference_normalize(graph, x)
 
 
 # --------------------------------------------------------------------------
