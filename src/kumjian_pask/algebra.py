@@ -61,7 +61,8 @@ class Window:
         degrees(), ordered by range, then degree, then level vector.  The
         paths of one range and degree share their source, so a group is
         built only when that source is in the window."""
-        return [p for v in self.vertices() for n in self.degrees()
+        degs = self.degrees()
+        return [p for v in self.vertices() for n in degs
                 if self.contains(vsub(v, n)) for p in graph.paths(v, n)]
 
 

@@ -208,8 +208,10 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
     if m.rule is RuleId.R3_GHOST_PATH:
         return [(pair(a, b), 1) for a, b in graph.s_of(x.path, y.path)]
     if m.rule is RuleId.R5_REPRESENTATIVE:
-        lam, mu = canonical.representative(canonical.class_key(x.path, y.path))
-        return [(pair(lam, mu), 1)]
+        # apply_rule has re-derived the match, so the pair is in A
+        key = canonical.ClassKey(x.path.range, y.path.range,
+                                 x.path.levels, y.path.levels)
+        return [(pair(*canonical.representative(key)), 1)]
     # R4: strip the all-ones factor of degree n and expand over the S-set of
     # the stripped pair, whose first member is the all-ones extension (_s_set
     # enumerates the shared bottom tuple lexicographically)

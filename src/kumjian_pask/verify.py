@@ -17,12 +17,17 @@ each case draws a chained 3-letter word until rewrite.all_redexes finds at
 least two competing rule instances on it; applying each instance (every R4
 expansion degree included) gives a branch, and branch - word is a relation.
 
-check_kp_relations normalizes one relation per translation class.
-Translating by any t in Z^k is an automorphism of the standard k-graph, and
-NF(x + t) = NF(x) + t (the equivariance property in the tests), so a
-relation whose translate to the origin has already normalized to 0 in the
-same run passes without rewriting.  Every relation that fails is
-normalized itself, and the sampled checks normalize every relation.
+check_kp_relations enumerates shapes, not instances.  Translating by any t
+in Z^k is an automorphism of the standard k-graph, and NF(x + t) =
+NF(x) + t (the equivariance property in the tests), so every instance is
+a translate of a shape: its family's relation anchored at the origin.  A
+shape's footprint is the set of vertices the instance enumeration requires
+to lie in the window, and its in-window translates number, per coordinate,
+the box side less the footprint's span (or 0), multiplied over the
+coordinates.  Each shape with a translate is normalized once and counts
+that many cases.  The instances themselves are walked, in a fixed order,
+only to run one of them (case_index) or to name the failing ones after a
+shape fails.  The sampled checks normalize every relation.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import groupby, islice, product
-from operator import sub
+from math import prod
 
 from . import canonical
 from .freealg import Element, IntegerRing, Ring, Word, letter, pair_word
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
                      join, leq, meet, norm, vadd, vsub)
-from .rewrite import _inner, _outer, all_redexes, apply_rule, normalize
+from .rewrite import _inner, all_redexes, apply_rule, normalize
 from .algebra import Window, uniform_window
 from .syntax import format_element
 
@@ -131,55 +136,25 @@ def _relation(ring: Ring, plus: list[Word], minus: list[Word]) -> Element:
                                      *((w, -1) for w in minus)])
 
 
-def _anchored_key(relation: Element) -> tuple:
-    """A nonzero relation translated so that the outer vertex of its first
-    word's first letter is the origin, flattened term by term in dict
-    order: the coefficient, the word length, then the ghost tag, range and
-    source coordinates and level vector of each letter.  Every vertex has
-    the graph's k coordinates, so with the lengths the flat key splits into
-    terms and letters one way only, though a ghost tag equals a coefficient
-    of 1 (True == 1).  Equal keys mean one relation is a term-by-term
-    translate of the other."""
-    t = _outer(next(iter(relation.terms))[0])
-    key = []
-    for w, c in relation.terms.items():
-        key += (c, len(w))
-        for (rv, sv, levels), ghost in w:
-            key += (ghost, *map(sub, rv, t), *map(sub, sv, t), levels)
-    return tuple(key)
-
-
-def _verdict(graph: StandardKGraph, label: str, relation: Element,
-             zeros: set | None = None):
-    """None if the relation normalizes to 0, else (input text, detail).
-    zeros, if given, holds the anchored keys of relations already seen to
-    normalize to 0: a translate of one of them passes without rewriting,
-    and each new zero verdict is added."""
-    key = None
-    if zeros is not None:
-        key = _anchored_key(relation)
-        if key in zeros:
-            return None
+def _verdict(graph: StandardKGraph, label: str, relation: Element):
+    """None if the relation normalizes to 0, else (input text, detail)."""
     result = normalize(graph, relation)
     if result.is_zero():
-        if key is not None:
-            zeros.add(key)
         return None
     return (format_element(relation),
             f"{label} normal form {format_element(result)} is not 0")
 
 
-def _report(name, seed, graph, cases, zeros=None) -> CheckReport:
+def _report(name, seed, graph, cases) -> CheckReport:
     """The report over (index, case seed, relations) triples, where
     relations yields (label, relation) pairs; a case fails at its first
-    relation that does not normalize to 0.  zeros is passed on to
-    _verdict.  Cases are run as the triples are drawn, so elapsed covers
-    them."""
+    relation that does not normalize to 0.  Cases are run as the triples
+    are drawn, so elapsed covers them."""
     report = CheckReport(name=name, cases=0, seed=seed)
     start = time.perf_counter()
     for index, case_seed, relations in cases:
         report.cases += 1
-        failure = next(filter(None, (_verdict(graph, label, relation, zeros)
+        failure = next(filter(None, (_verdict(graph, label, relation)
                                      for label, relation in relations)), None)
         if failure is not None:
             report.failures.append(CaseFailure(index, case_seed, *failure))
@@ -449,6 +424,60 @@ def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
                 pair_word(lam, lam) for lam in graph.paths(v, n)])
 
 
+def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
+    """(family, translates, relation) for every defining-relation shape
+    with at least one translate in the window.  A shape is a relation of
+    _kp_instances anchored at the origin; its footprint is the set of
+    vertices that _kp_instances requires to lie in the window, and its
+    translates are the instances it stands for.  With span the footprint's
+    extent in each coordinate, they number prod(max(0, L - span)) over the
+    box sides L."""
+    sides = [b - a + 1 for a, b in zip(window.lo, window.hi)]
+    degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
+    origin = (0,) * graph.k
+    o = letter(graph.vertex(origin))
+
+    def translates(span):
+        return prod(max(0, side - s) for side, s in zip(sides, span))
+
+    # the paths of degree n with range (from) or source (into) the origin
+    paths_from = {n: graph.paths(origin, n) for n in degs}
+    paths_into = {n: graph.paths(n, n) for n in degs}
+
+    # KP1 on v = 0 and w = d
+    for d in product(*(range(1 - side, side) for side in sides)):
+        yield "KP1", translates(map(abs, d)), _relation(
+            ring, [(o, letter(graph.vertex(d)))], [] if any(d) else [(o,)])
+
+    # unit laws and KP3: footprint the range 0 and the source -n
+    for n in degs:
+        if count := translates(n):
+            for p in paths_from[n]:
+                lp, gp = letter(p), letter(p, ghost=True)
+                sv = letter(graph.vertex(p.source))
+                for word, unit in (((o, lp), lp), ((lp, sv), lp),
+                                   ((sv, gp), gp), ((gp, o), gp)):
+                    yield "KP2", count, _relation(ring, [word], [(unit,)])
+            for lam, mu in product(paths_from[n], repeat=2):
+                yield "KP3", count, _relation(
+                    ring, [(letter(lam, True), letter(mu))],
+                    [(letter(graph.vertex(lam.source)),)] if lam == mu else [])
+
+    # compositions: footprint lam's range n1, the vertex 0, mu's source -n2
+    for n1, n2 in product(degs, repeat=2):
+        if count := translates(vadd(n1, n2)):
+            for lam, mu in product(paths_into[n1], paths_from[n2]):
+                rel = _relation(ring, [(letter(lam), letter(mu))],
+                                [(letter(compose(lam, mu)),)])
+                yield "KP2", count, rel
+                yield "KP2", count, rel.star()
+
+    # KP4: footprint 0 only, since its paths leave the window
+    for n in degs:
+        yield "KP4", prod(sides), _relation(ring, [(o,)], [
+            pair_word(lam, lam) for lam in paths_from[n]])
+
+
 def check_kp_relations(graph: StandardKGraph,
                        window: Window | None = None,
                        ring: Ring | None = None,
@@ -456,15 +485,36 @@ def check_kp_relations(graph: StandardKGraph,
     """Every defining-relation instance anchored in the window normalizes
     to zero: vertex orthogonality/idempotency, unit laws and composition,
     same-degree ghost products, and the vertex expansion identity with
-    |n| <= 2.  Path degrees are capped at |d| <= 2.  Only one relation per
-    translation class is normalized; its translates pass on its zero
-    verdict, which lives for this call only.  With case_index only that
+    |n| <= 2.  Path degrees are capped at |d| <= 2.
+
+    The instances are not built.  Each shape of _kp_shapes (a relation
+    anchored at the origin) is normalized once, and its in-window
+    translates, counted in closed form from its footprint, are added to
+    the cases.  The instance walk of _kp_instances runs only when a shape
+    fails or case_index is given.  After a failure every instance of a
+    family with a failing shape is normalized itself, in the fixed order,
+    so failure indices and inputs are exact.  With case_index only that
     instance (counted in the same fixed order) is normalized."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    instances = _numbered("kp", _kp_instances(graph, window, ring), case_index)
-    return _report("kp", 0, graph, ((i, "exhaustive", [instance])
-                                    for i, instance in instances), set())
+    instances = _kp_instances(graph, window, ring)
+    if case_index is not None:
+        return _report("kp", 0, graph, (
+            (i, "exhaustive", [instance])
+            for i, instance in _numbered("kp", instances, case_index)))
+    start = time.perf_counter()
+    cases, failing = 0, set()
+    for family, count, relation in _kp_shapes(graph, window, ring):
+        cases += count
+        if (family not in failing
+                and not normalize(graph, relation).is_zero()):
+            failing.add(family)
+    failures = _report("kp", 0, graph, (
+        (i, "exhaustive", [(family, relation)])
+        for i, (family, relation) in enumerate(instances)
+        if family in failing)).failures if failing else []
+    return CheckReport("kp", cases, 0, failures,
+                       time.perf_counter() - start)
 
 
 CHECKS = {

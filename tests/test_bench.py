@@ -8,8 +8,9 @@ from pathlib import Path
 
 import kumjian_pask.cli  # noqa: F401  (with the package, every module the tracer wraps)
 from kumjian_pask.algebra import Window
+from kumjian_pask.freealg import IntegerRing
 from kumjian_pask.kgraph import StandardKGraph
-from kumjian_pask.verify import check_kp_relations
+from kumjian_pask.verify import _kp_instances, check_kp_relations
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,12 +65,24 @@ def test_tracer_wraps_every_target_and_restores(monkeypatch):
 
 
 def test_kp_case_count_matches_benchmark_oracle(monkeypatch):
+    """The cases of a passing kp run, summed from shape translates, equal
+    the instances _kp_instances lists and the benchmark's closed form, on
+    uniform, per-coordinate and thin boxes.  A 0..0 side is thinner than
+    every path's span, so some shapes have no translate."""
     workloads = load_bench_module(monkeypatch, "workloads")
-    for k, level, lo, hi, bound in ((1, 2, (-1,), (1,), 2),
-                                    (2, 2, (0, -1), (2, 1), 3),
-                                    (2, 3, (0, 0), (1, 2), 1),
-                                    (2, 2, (0, 0), (1, 1), 0)):
-        report = check_kp_relations(StandardKGraph(k, level),
-                                    Window(lo, hi, bound))
-        assert report.cases == workloads.kp_case_count(k, level, lo, hi,
-                                                       bound)
+    boxes = {1: [((-1,), (1,)), ((0,), (0,)), ((0,), (4,))],
+             2: [((-1, -1), (1, 1)), ((0, -1), (2, 1)), ((0, 0), (0, 4))],
+             3: [((0, -1, 0), (2, 1, 1)), ((0, 0, 0), (0, 4, 1))]}
+    runs = [(1, 2, (-1,), (1,), 2), (2, 2, (0, -1), (2, 1), 3),
+            (2, 3, (0, 0), (1, 2), 1), (2, 2, (0, 0), (1, 1), 0)]
+    runs += [(k, level, lo, hi, bound)
+             for k, level in ((1, 3), (2, 2), (3, 2))
+             for lo, hi in boxes[k] for bound in (0, 1, 3)]
+    for k, level, lo, hi, bound in runs:
+        graph, window = StandardKGraph(k, level), Window(lo, hi, bound)
+        report = check_kp_relations(graph, window)
+        instances = sum(1 for _ in _kp_instances(graph, window,
+                                                 IntegerRing()))
+        assert report.passed, (k, level, lo, hi, bound)
+        assert report.cases == instances == workloads.kp_case_count(
+            k, level, lo, hi, bound), (k, level, lo, hi, bound)

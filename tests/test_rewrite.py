@@ -296,6 +296,26 @@ def test_r5_decrements_nonrep_count_by_one_in_any_context():
         assert after[:4] == before[:4]
 
 
+def test_r5_step_computes_the_representative_source_once(monkeypatch):
+    """match_at derives the R5 match from the pair's kind, which takes one
+    rep_source call; building the representative takes the other.  The
+    measure here reads no pair kind, so those are all the calls."""
+    real, calls = canonical.rep_source, []
+
+    def spy(key):
+        calls.append(key)
+        return real(key)
+
+    nonrep = Path((1, 1), (0, 1), (2,))
+    w = (letter(nonrep), letter(nonrep, ghost=True))
+    monkeypatch.setattr(canonical, "rep_source", spy)
+    out = apply_rule(G22, ZZ, w, RedexMatch(RuleId.R5_REPRESENTATIVE, 0),
+                     measure=lambda word: word == w)
+    assert len(calls) == 2
+    (w2, c2), = out.terms.items()
+    assert c2 == 1 and canonical.pair_kind(*w2) == "representative"
+
+
 def test_valid_expansions_oracle():
     rng = random.Random("expansions")
     for _ in range(200):

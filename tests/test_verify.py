@@ -372,27 +372,53 @@ def test_kp_normalizes_one_relation_per_translation_class(monkeypatch):
     assert counts[0] == counts[1] <= report.cases // 20
 
 
-def test_kp_anchored_key_tells_translates_from_other_relations():
-    """Equal anchored keys mean a term-by-term translate by one vector;
-    another coefficient, ghost tag or relative position gives another
-    key."""
-    from kumjian_pask.freealg import Element, letter
-    from kumjian_pask.kgraph import Path
-    from kumjian_pask.verify import _anchored_key
+def _translation_class(relation):
+    """The relation moved so that the least vertex it names is the origin:
+    two relations get one class exactly when one is a translate of the
+    other."""
+    from kumjian_pask.freealg import letter
+    from kumjian_pask.kgraph import Path, vsub
 
-    ring = IntegerRing()
-    graph = StandardKGraph(2, 2)
+    t = min(v for w in relation.terms for x in w
+            for v in (x.path.range, x.path.source))
+    return frozenset(
+        (tuple(letter(Path(vsub(x.path.range, t), vsub(x.path.source, t),
+                           x.path.levels), x.ghost) for x in w), c)
+        for w, c in relation.terms.items())
 
-    def rel(t, u=0, c=-1, ghost=True):
-        lam = Path((1 + t + u, 1), (t + u, 1), (2,))
-        v = letter(graph.vertex((1 + t, 1)))
-        return Element.from_terms(ring, [((v, letter(lam)), 1),
-                                         ((letter(lam, ghost),), c)])
 
-    key = _anchored_key(rel(0))
-    assert key == _anchored_key(rel(5)) == _anchored_key(rel(-3))
-    for other in (rel(0, u=1), rel(0, c=1), rel(0, ghost=False)):
-        assert _anchored_key(other) != key
+@pytest.mark.parametrize("k,level,window,classes", [
+    (1, 2, uniform_window(1, -1, 1, 3), 59),
+    (2, 2, uniform_window(2, -3, 3, 3), 806),
+    (2, 3, Window((0, -1), (2, 1), 3), 1413),
+    (2, 2, Window((0, 0), (0, 4), 3), 130),
+], ids=["1-2", "2-2", "2-3-box", "2-2-thin"])
+def test_kp_normalizes_each_translation_class_once(monkeypatch, k, level,
+                                                   window, classes):
+    """A passing run makes one normalize call per translation class of the
+    instances, and never walks the instances themselves."""
+    from kumjian_pask import verify
+
+    graph = StandardKGraph(k, level)
+    instances = list(verify._kp_instances(graph, window, IntegerRing()))
+    assert len({_translation_class(rel) for _, rel in instances}) == classes
+    real_normalize, real_instances = verify.normalize, verify._kp_instances
+    calls, walked = [], []
+
+    def spy(graph, elem, **kwargs):
+        calls.append(elem)
+        return real_normalize(graph, elem, **kwargs)
+
+    def walking(*args):
+        for instance in real_instances(*args):
+            walked.append(instance)
+            yield instance
+
+    monkeypatch.setattr(verify, "normalize", spy)
+    monkeypatch.setattr(verify, "_kp_instances", walking)
+    report = check_kp_relations(graph, window)
+    assert report.passed and report.cases == len(instances)
+    assert len(calls) == classes and walked == []
 
 
 def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
