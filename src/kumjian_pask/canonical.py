@@ -14,6 +14,13 @@ lattice points s <= r(lam) meet r(mu) with the coordinate sum forced by the
 key.  One member per class is chosen as the canonical representative: the
 one with the lexicographically greatest source.  Any other choice would
 work equally well; determinism is all that matters downstream.
+
+pair_kind, the pair test of the rewriter, the word measure and basis
+recognition, builds no ClassKey: it reads both the A test and the
+representative's source from the meet of the two ranges (see its
+docstring), so a different choice of representative changes it along with
+rep_source.  rep_source and member_sources stay the key-based definitions
+that representative and in_R use.
 """
 
 from __future__ import annotations
@@ -110,15 +117,20 @@ def pair_kind(x: Letter, y: Letter) -> str | None:
     """The one path-ghost pair test.  Classify the two-letter word x . y:
     None unless x is a path and y a ghost, both of nonzero degree with a
     common source; otherwise 'unreduced' (not in A), 'representative' (in R)
-    or 'nonrep' (in A but not in R)."""
-    lam, mu = x.path, y.path
-    if x.ghost or not y.ghost or lam.is_vertex or lam.source != mu.source:
+    or 'nonrep' (in A but not in R).
+
+    Both tests read the meet c of the two ranges: c - s is the meet of the
+    two degrees, and rep_source(key) is c lowered on its last coordinate
+    only, with |s| fixed by the key, so s is the representative's source
+    iff it agrees with c on every other coordinate."""
+    (lam_r, s, lam_lv), x_ghost = x
+    (mu_r, mu_s, mu_lv), y_ghost = y
+    if x_ghost or not y_ghost or lam_r == s or s != mu_s:
         return None
-    if lam.levels[-1] == 1 and mu.levels[-1] == 1 and any(
-            meet(lam.degree, mu.degree)):
+    c = meet(lam_r, mu_r)
+    if c != s and lam_lv[-1] == 1 and mu_lv[-1] == 1:
         return "unreduced"
-    key = ClassKey(lam.range, mu.range, lam.levels, mu.levels)
-    return "representative" if lam.source == rep_source(key) else "nonrep"
+    return "representative" if c[:-1] == s[:-1] else "nonrep"
 
 
 def equivalent(a: PathPair, b: PathPair) -> bool:

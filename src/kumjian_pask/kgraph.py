@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import sub
+from operator import le, sub
 
 Coords = tuple[int, ...]
 
@@ -131,15 +131,15 @@ class Path(namedtuple("Path", "range source levels")):
         return self
 
     def __post_init__(self) -> None:
-        if len(self.range) != len(self.source):
+        r, s, lv = self
+        if len(r) != len(s):
             raise KGraphError("range/source dimension mismatch")
-        if not leq(self.source, self.range):
-            raise KGraphError(f"source {self.source} not <= range {self.range}")
-        if len(self.levels) != norm(self.range) - norm(self.source):
-            raise KGraphError(
-                f"level vector has {len(self.levels)} entries, "
-                f"degree needs {norm(self.range) - norm(self.source)}")
-        if any(e < 1 for e in self.levels):
+        if not all(map(le, s, r)):
+            raise KGraphError(f"source {s} not <= range {r}")
+        if len(lv) != sum(r) - sum(s):
+            raise KGraphError(f"level vector has {len(lv)} entries, "
+                              f"degree needs {sum(r) - sum(s)}")
+        if lv and min(lv) < 1:
             raise KGraphError("level entries must be >= 1")
 
     @property
@@ -226,6 +226,9 @@ class StandardKGraph:
 
     def _check_levels(self, levels: Coords) -> Coords:
         levels = tuple(levels)
+        if not levels or (min(levels) >= 1 and max(levels) <= self.level):
+            return levels
+        # name the first entry out of range
         for e in levels:
             if not 1 <= e <= self.level:
                 raise KGraphError(

@@ -30,7 +30,7 @@ import re
 from decimal import Decimal
 
 from .freealg import Element, Letter, Ring, Word, letter
-from .kgraph import KGraphError, Path, StandardKGraph
+from .kgraph import Path, StandardKGraph
 
 
 class ElementSyntaxError(ValueError):
@@ -55,23 +55,22 @@ def exact_decimal(x: int | str) -> str | int:
         return convert(Decimal(x))
 
 
-def format_coords(c) -> str:
-    return "(" + ",".join(str(x) for x in c) + ")"
-
-
 def format_path(p: Path) -> str:
-    if p.is_vertex:
-        return "v" + format_coords(p.range)
-    return ("p[" + format_coords(p.range) + "->" + format_coords(p.source)
-            + ";" + ",".join(str(e) for e in p.levels) + "]")
+    r, s, lv = p
+    if r == s:
+        return "v({})".format(",".join(map(str, r)))
+    return "p[({})->({});{}]".format(",".join(map(str, r)),
+                                    ",".join(map(str, s)),
+                                    ",".join(map(str, lv)))
 
 
 def format_letter(x: Letter) -> str:
-    return format_path(x.path) + ("*" if x.ghost else "")
+    p, ghost = x
+    return format_path(p) + ("*" if ghost else "")
 
 
 def format_word(w: Word) -> str:
-    return " . ".join(format_letter(x) for x in w)
+    return " . ".join(map(format_letter, w))
 
 
 def format_element(e: Element) -> str:
@@ -98,12 +97,11 @@ _COEFF = re.compile(r"([+-]?[0-9]+)\s*(\*)?")
 _SPACE = re.compile(r"\s*")
 
 
-def _ints(text: str, pos: int) -> tuple[int, ...]:
-    """The comma-separated integers in text; pos is the error position."""
-    try:
-        return tuple(int(x.strip()) for x in text.split(","))
-    except ValueError as exc:  # more digits than int() will convert
-        raise ElementSyntaxError(pos, str(exc)) from None
+def _ints(text: str) -> tuple[int, ...]:
+    """The comma-separated integers in text.  str.strip, not int(), drops
+    the space around each: str.strip and the patterns' whitespace include
+    U+001C..U+001F, int() does not."""
+    return tuple(map(int, map(str.strip, text.split(","))))
 
 
 def _parse_word(text: str, pos: int,
@@ -116,17 +114,18 @@ def _parse_word(text: str, pos: int,
         if m is None:
             raise ElementSyntaxError(pos, "expected a generator: v(coords) "
                                           "or p[(coords)->(coords);levels]")
+        vertex, range_v, source_v, levels, star = m.groups()
         try:
-            if m["vertex"] is not None:
-                path = graph.vertex(_ints(m["vertex"], pos))
+            if vertex is not None:
+                path = graph.vertex(_ints(vertex))
             else:
-                path = graph.path(_ints(m["range"], pos),
-                                  _ints(m["source"], pos),
-                                  _ints(m["levels"], pos))
-        except KGraphError as exc:
+                path = graph.path(_ints(range_v), _ints(source_v),
+                                  _ints(levels))
+        # a KGraphError, or an integer of more digits than int() converts
+        except ValueError as exc:
             raise ElementSyntaxError(pos, str(exc)) from None
         # letter drops the star of a vertex: vertices are self-adjoint
-        letters.append(letter(path, ghost=m["star"] is not None))
+        letters.append(letter(path, ghost=star is not None))
         pos = m.end()
         if not text.startswith(".", pos):
             return tuple(letters), pos

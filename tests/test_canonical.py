@@ -6,13 +6,16 @@ from collections import defaultdict
 
 import pytest
 
+from kumjian_pask.algebra import uniform_window
 from kumjian_pask.canonical import (ClassKey, PairError,
                                     UnrealizableKeyError, class_key,
                                     equivalent, in_A, in_R, member_sources,
-                                    pair_for_source, rep_source,
+                                    pair_for_source, pair_kind, rep_source,
                                     representative)
+from kumjian_pask.freealg import letter
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  leq, meet, norm, vadd)
+from kumjian_pask.rewrite import valid_expansions
 
 
 def oracle_in_A(graph, lam, mu):
@@ -221,3 +224,39 @@ def test_witness_relation_equals_key_partition():
             for val in exts[idx]:
                 witnesses |= index[val]
             assert witnesses == by_key[class_key(*pair)]
+
+
+# (k, level, lo, hi, degree bound) of the windows pair_kind is pinned on
+PAIR_KIND_WINDOWS = ((1, 3, -2, 2, 3), (2, 2, -1, 1, 3), (2, 2, -2, 2, 2),
+                     (2, 3, -1, 1, 2), (3, 2, -1, 1, 2), (4, 2, 0, 1, 2))
+
+
+@pytest.mark.parametrize("k,level,lo,hi,bound", PAIR_KIND_WINDOWS)
+def test_pair_kind_matches_class_key_definition(k, level, lo, hi, bound):
+    """Every ordered letter pair x . y of the window that meets at a vertex,
+    except path.path and ghost.ghost: pair_kind names exactly the path.ghost
+    pairs, 'unreduced' exactly when an all-ones expansion exists, and
+    'representative' exactly when the path's source is the class's first
+    member source."""
+    graph = StandardKGraph(k, level)
+    window = uniform_window(k, lo, hi, bound)
+    letters = ([letter(graph.vertex(v)) for v in window.vertices()]
+               + [letter(p, ghost) for p in window.paths(graph)
+                  for ghost in (False, True)])
+    by_left_vertex = defaultdict(list)  # the vertex a letter shows its left
+    for y in letters:
+        by_left_vertex[y.path.source if y.ghost else y.path.range].append(y)
+    for x in letters:
+        for y in by_left_vertex[x.path.range if x.ghost else x.path.source]:
+            lam, mu = x.path, y.path
+            if x.ghost == y.ghost and not (lam.is_vertex or mu.is_vertex):
+                continue
+            kind = pair_kind(x, y)
+            if x.ghost or not y.ghost or lam.is_vertex:
+                assert kind is None, (x, y)
+            elif valid_expansions(lam, mu):
+                assert kind == "unreduced", (x, y)
+            else:
+                first = member_sources(class_key(lam, mu))[0]
+                assert kind == ("representative" if lam.source == first
+                                else "nonrep"), (x, y)

@@ -7,12 +7,14 @@ import time
 
 import pytest
 
+from kumjian_pask.freealg import IntegerRing
 from kumjian_pask.kgraph import (CompositionError, DegreeSplitError,
                                  KGraphError, Path, ShapeError,
                                  StandardKGraph, compose, degrees_upto,
                                  factorize, join, leq, levelvec_compatible,
                                  meet, monus, norm, trailing_ones, vadd,
                                  vertex, vsub)
+from kumjian_pask.syntax import ElementSyntaxError, parse_element
 
 
 def test_lattice_ops():
@@ -258,6 +260,70 @@ def test_graph_factories_validate():
         StandardKGraph(0, 2)
     with pytest.raises(KGraphError):
         StandardKGraph(2, 0)
+
+
+# (range, source, levels, message) for Path(...): one fault, then two at
+# once, where the earlier check's message wins.
+PATH_FAULTS = (
+    ((1, 0), (0,), (1,), "range/source dimension mismatch"),
+    ((1, 0), (0, 1), (), "source (0, 1) not <= range (1, 0)"),
+    ((1, 1), (0, 0), (1,), "level vector has 1 entries, degree needs 2"),
+    ((1, 0), (0, 0), (0,), "level entries must be >= 1"),
+    ((1, 0), (0,), (0,), "range/source dimension mismatch"),
+    ((1, 0), (0, 1), (2,), "source (0, 1) not <= range (1, 0)"),
+    ((1, 1), (0, 0), (0,), "level vector has 1 entries, degree needs 2"),
+    ((2, 1), (0, 0), (2, 0, 9), "level entries must be >= 1"),
+)
+
+# The same for StandardKGraph(2, 2).path, which checks the coordinate
+# counts and the level entries before the Path checks.
+GRAPH_PATH_FAULTS = (
+    ((1, 1, 0), (0, 0), (1, 1), "expected 2 coordinates, got 3"),
+    ((1, 1), (0,), (1, 1), "expected 2 coordinates, got 1"),
+    ((1, 0), (0, 1), (), "source (0, 1) not <= range (1, 0)"),
+    ((1, 1), (0, 0), (1,), "level vector has 1 entries, degree needs 2"),
+    ((1, 0), (0, 0), (0,), "level entry 0 out of range 1..2"),
+    ((1, 0), (0, 0), (3,), "level entry 3 out of range 1..2"),
+    ((1, 1, 0), (0, 0), (3,), "expected 2 coordinates, got 3"),
+    ((1, 0), (0, 1), (3,), "level entry 3 out of range 1..2"),
+    ((1, 1), (0, 0), (0,), "level entry 0 out of range 1..2"),
+    ((1, 1), (2, 2), (1,), "source (2, 2) not <= range (1, 1)"),
+    ((2, 1), (0, 0), (2, 0, 9), "level entry 0 out of range 1..2"),
+    ((2, 1), (0, 0), (9, 0, 2), "level entry 9 out of range 1..2"),
+)
+
+
+@pytest.mark.parametrize("r,s,lv,message", PATH_FAULTS)
+def test_path_names_the_first_fault(r, s, lv, message):
+    with pytest.raises(KGraphError) as err:
+        Path(r, s, lv)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("r,s,lv,message", GRAPH_PATH_FAULTS)
+def test_graph_path_names_the_first_fault(r, s, lv, message):
+    with pytest.raises(KGraphError) as err:
+        StandardKGraph(2, 2).path(r, s, lv)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("r,s,lv,message",
+                         [f for f in GRAPH_PATH_FAULTS if f[2]])
+def test_parser_reports_the_graph_path_fault(r, s, lv, message):
+    """The parser passes the factory's message on, at the generator."""
+    def ints(c):
+        return ",".join(map(str, c))
+    text = f"v(0,0) . p[({ints(r)})->({ints(s)});{ints(lv)}]"
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_element(text, StandardKGraph(2, 2), IntegerRing())
+    assert err.value.pos == 9
+    assert str(err.value) == f"at position 9: {message}"
+
+
+def test_parser_reports_the_vertex_fault():
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_element("v(0,0,0)", StandardKGraph(2, 2), IntegerRing())
+    assert str(err.value) == "at position 0: expected 2 coordinates, got 3"
 
 
 def test_degrees_upto_order():

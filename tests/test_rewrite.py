@@ -297,9 +297,9 @@ def test_r5_decrements_nonrep_count_by_one_in_any_context():
 
 
 def test_r5_step_computes_the_representative_source_once(monkeypatch):
-    """match_at derives the R5 match from the pair's kind, which takes one
-    rep_source call; building the representative takes the other.  The
-    measure here reads no pair kind, so those are all the calls."""
+    """match_at derives the R5 match from the pair's kind, which reads the
+    meet of the ranges and makes no rep_source call; building the
+    representative makes the one call."""
     real, calls = canonical.rep_source, []
 
     def spy(key):
@@ -311,7 +311,7 @@ def test_r5_step_computes_the_representative_source_once(monkeypatch):
     monkeypatch.setattr(canonical, "rep_source", spy)
     out = apply_rule(G22, ZZ, w, RedexMatch(RuleId.R5_REPRESENTATIVE, 0),
                      measure=lambda word: word == w)
-    assert len(calls) == 2
+    assert len(calls) == 1
     (w2, c2), = out.terms.items()
     assert c2 == 1 and canonical.pair_kind(*w2) == "representative"
 

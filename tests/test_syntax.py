@@ -82,6 +82,8 @@ ACCEPTED = {
     " p [ ( 1 ) - > ( 0 ) ; 2 ] * ": "1 * p[(1)->(0);2]*",
     "\u00a0v(0)\t.\nv(0)": "1 * v(0) . v(0)",
     "2*v(0).v(0)": "2 * v(0) . v(0)",
+    # U+001C..U+001F are whitespace to \s, though int() does not strip them
+    "p[(2)->(0);1\x1c,\x1f+2]": "1 * p[(2)->(0);1,2]",
     # integers carry an optional sign, written with no space after it
     "v( +1 )": "1 * v(1)",
     "v(-0)": "1 * v(0)",
