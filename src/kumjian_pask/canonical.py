@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .freealg import Letter, pair_word
-from .kgraph import Coords, Path, degrees_upto, meet, norm, vsub
+from .kgraph import Coords, Path, _path, degrees_upto, meet, norm, vsub
 
 PathPair = tuple[Path, Path]
 
@@ -99,13 +99,19 @@ def member_sources(key: ClassKey) -> list[Coords]:
 
 
 def pair_for_source(key: ClassKey, source: Coords) -> PathPair:
+    """The member of the class with a source chosen by the caller, which is
+    validated: KGraphError unless it lies below both ranges."""
     return (Path(key.left_range, source, key.left_levels),
             Path(key.right_range, source, key.right_levels))
 
 
 def representative(key: ClassKey) -> PathPair:
-    """The canonical member of the class with the given key."""
-    return pair_for_source(key, rep_source(key))
+    """The canonical member of the class with the given key.  rep_source
+    lies below both ranges with the level counts the key fixes, so the pair
+    is built unchecked."""
+    s = rep_source(key)
+    return (_path(key.left_range, s, key.left_levels),
+            _path(key.right_range, s, key.right_levels))
 
 
 def in_R(lam: Path, mu: Path) -> bool:

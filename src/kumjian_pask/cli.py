@@ -13,13 +13,18 @@ Exit status: 0 on success or passing checks, 1 on check failure, 2 on
 usage errors (including malformed elements, unreadable element files and a
 --case-index that names no case of the run), 141 (128 + SIGPIPE) when the
 reader closes stdout early.
+Integer flags take ASCII digits only, as the element grammar does.
 Output is byte-reproducible from flags and seed; no environment variables
 are consulted.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call; parse_args keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -38,7 +43,19 @@ class UsageError(Exception):
     pass
 
 
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_RANGE_RE = re.compile(r"^(-?[0-9]+)\.\.(-?[0-9]+)$")
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _ascii_int(text: str) -> int:
+    """int() without the non-ASCII digits and '_' separators that it also
+    reads; ValueError for those."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
 
 
 def _parse_window(text: str, k: int, degree_bound: int) -> Window:
@@ -51,10 +68,14 @@ def _parse_window(text: str, k: int, degree_bound: int) -> Window:
     lo, hi = [], []
     for piece in pieces:
         m = _RANGE_RE.match(piece.strip())
-        if not m:
-            raise UsageError(f"bad window range {piece!r}, expected lo..hi")
-        lo.append(int(m.group(1)))
-        hi.append(int(m.group(2)))
+        try:
+            if not m:
+                raise ValueError(piece)
+            lo.append(int(m.group(1)))
+            hi.append(int(m.group(2)))
+        except ValueError:  # also past int()'s digit limit
+            raise UsageError(
+                f"bad window range {piece!r}, expected lo..hi") from None
     try:
         return Window(tuple(lo), tuple(hi), degree_bound)
     except KGraphError as exc:
@@ -63,7 +84,7 @@ def _parse_window(text: str, k: int, degree_bound: int) -> Window:
 
 def _parse_coords_flag(text: str, k: int, flag: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        coords = tuple(_ascii_int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers") from None
     if len(coords) != k:
@@ -102,9 +123,9 @@ def _print_element(elem: Element, fmt: str) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, required=True,
+    parser.add_argument("--k", type=_ascii_int, required=True,
                         help="rank of the lattice (no default)")
-    parser.add_argument("--level", type=int, required=True,
+    parser.add_argument("--level", type=_ascii_int, required=True,
                         help="level of the standard k-graph (no default)")
     parser.add_argument("--ring", default="int",
                         help="coefficient ring: int or zmod:N (default int)")
@@ -112,7 +133,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="text", help="output format (default text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kpalg parser, built on the first call and shared by every later
+    one: callers must not change it."""
     top = argparse.ArgumentParser(
         prog="kpalg",
         description="Kumjian-Pask algebra engine over standard k-graphs")
@@ -139,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="-2..2",
                    help="vertex box lo..hi, uniform or per-coordinate "
                         "(default -2..2)")
-    p.add_argument("--degree-bound", type=int, default=2,
+    p.add_argument("--degree-bound", type=_ascii_int, default=2,
                    help="max |degree| of enumerated paths (default 2)")
     p.add_argument("--shape", default="all",
                    choices=("all", "vertex", "path", "ghost", "pair"))
@@ -152,14 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("which", choices=("lemma3", "lemma8", "lemma12", "lemma13",
                                      "confluence", "kp", "all"))
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--cases", type=int, default=100,
+    p.add_argument("--seed", type=_ascii_int, default=0,
+                   help="base seed (default 0)")
+    p.add_argument("--cases", type=_ascii_int, default=100,
                    help="cases per randomized check (default 100)")
     p.add_argument("--window", default="-3..3",
                    help="sampling window (default -3..3)")
-    p.add_argument("--degree-bound", type=int, default=3,
+    p.add_argument("--degree-bound", type=_ascii_int, default=3,
                    help="sampling degree bound (default 3)")
-    p.add_argument("--case-index", type=int, default=None,
+    p.add_argument("--case-index", type=_ascii_int, default=None,
                    help="run only the case with this index, which must be "
                         "a case of the run (for reproduction)")
     return top

@@ -195,7 +195,9 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
                  case_index: int | None = None) -> CheckReport:
     """ghost(lam) * mu equals the sum of alpha beta* over all common
     extensions of any fixed degree q >= d(lam) join d(mu), with the sum built
-    by brute-force pair search.  q is never 0, where both sides are v . v."""
+    by joining the alphas and betas on compose(lam, alpha) ==
+    compose(mu, beta), not from s_of.  q is never 0, where both sides are
+    v . v."""
 
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
@@ -203,10 +205,12 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
         mu = _rand_path(rng, graph, window, range_v=v)
         j = join(lam.degree, mu.degree)
         q = vadd(j, _rand_degree(rng, graph.k, 1, 0 if any(j) else 1))
-        common = [pair_word(alpha, beta)
+        # distinct betas give distinct mu . beta: at most one beta per alpha
+        betas = {compose(mu, beta): beta
+                 for beta in graph.paths(mu.source, vsub(q, mu.degree))}
+        common = [pair_word(alpha, betas[ext])
                   for alpha in graph.paths(lam.source, vsub(q, lam.degree))
-                  for beta in graph.paths(mu.source, vsub(q, mu.degree))
-                  if compose(lam, alpha) == compose(mu, beta)]
+                  if (ext := compose(lam, alpha)) in betas]
         return [(f"lemma3 q={q}", _relation(
             ring, [(letter(lam, ghost=True), letter(mu))], common))]
 

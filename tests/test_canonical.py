@@ -13,8 +13,8 @@ from kumjian_pask.canonical import (ClassKey, PairError,
                                     pair_for_source, pair_kind, rep_source,
                                     representative)
 from kumjian_pask.freealg import letter
-from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
-                                 leq, meet, norm, vadd)
+from kumjian_pask.kgraph import (KGraphError, Path, StandardKGraph, compose,
+                                 degrees_upto, leq, meet, norm, vadd)
 from kumjian_pask.rewrite import valid_expansions
 
 
@@ -128,6 +128,14 @@ def test_representative_members_are_reduced():
             assert in_A(lam, mu)
             assert class_key(lam, mu) == key
         assert in_R(*rep)
+
+
+def test_pair_for_source_validates_the_source():
+    key = ClassKey((1, 0), (0, 1), (1,), (1,))
+    assert pair_for_source(key, (0, 0)) == representative(key)
+    # (1, -1) lies below (1, 0) but not below (0, 1)
+    with pytest.raises(KGraphError):
+        pair_for_source(key, (1, -1))
 
 
 def test_unrealizable_keys():

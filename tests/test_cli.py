@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from kumjian_pask import verify
-from kumjian_pask.cli import main
+from kumjian_pask.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,10 @@ def test_usage_errors_exit_two(capsys):
     code, out, _ = run_cli(capsys, "check", "lemma3", "--k", "1", "--level",
                            "2", "--degree-bound", "-1")
     assert code == 2 and out == ""
+    # a window bound past int()'s digit limit
+    code, out, err = run_cli(capsys, "basis", "--k", "1", "--level", "2",
+                             "--window", "0.." + "1" * 5000)
+    assert code == 2 and out == "" and "bad window range" in err
 
 
 def test_byte_reproducibility(capsys):
@@ -273,6 +278,47 @@ def test_check_all_degree_bound_zero(capsys):
     assert "name=lemma13 cases=0 failures=0 seed=0" in lines
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    common = ("--k", "1", "--level", "2")
+    main(["normalize", *common, "v(0)"])
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (("normalize", *common, "v(1)"),
+                 ("mul", *common, "v(0)", "v(0)"),
+                 ("star", *common, "v(0)"),
+                 ("basis", *common, "--degree-bound", "0"),
+                 ("check", "lemma8", *common, "--cases", "2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+    monkeypatch.undo()
+
+    # each flag or error of one call is gone in the next: the calls run on
+    # the shared parser give what a freshly built parser gives
+    element = "p[(1)->(0);1] . p[(1)->(0);1]*"
+    basis = ("basis", *common, "--degree-bound", "1", "--shape", "pair")
+    sequence = (("normalize", *common, "--trace", element),
+                ("normalize", *common, element),
+                (*basis, "--range-left", "0"),
+                basis,
+                ("normalize", "--k", "1", element),
+                ("normalize", *common, element))
+    shared = [run_cli(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert shared[0] != shared[1] and shared[2] != shared[3]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+
+
 def test_normalize_structured_trace_is_one_document(capsys):
     element = "p[(1,0)->(0,0);1] . p[(1,0)->(0,0);1]*"
     common = ("normalize", "--k", "2", "--level", "2", "--trace")
@@ -297,6 +343,25 @@ def test_non_ascii_digits_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, "normalize", "--k", "1", "--level",
                                  "2", element)
         assert code == 2 and out == "" and "bad element" in err
+    # int() also reads non-ASCII digits and '_' separators; no integer flag
+    # does
+    common = ("--k", "1", "--level", "2")
+    for command, flag, value in (
+            (("normalize", "v(0)", "--level", "2"), "--k", "١"),
+            (("normalize", "v(0)", "--k", "1"), "--level", "٢"),
+            (("check", "lemma3", *common), "--seed", "٧"),
+            (("check", "lemma3", *common), "--cases", "1_000"),
+            (("check", "lemma3", *common), "--cases", "٣"),
+            (("check", "lemma3", *common), "--degree-bound", "٢"),
+            (("check", "lemma3", *common), "--case-index", "٠"),
+            (("basis", *common), "--degree-bound", "1_0"),
+            (("basis", *common), "--window", "٠..١"),
+            (("check", "kp", *common), "--window", "-1..1_0"),
+            (("basis", *common), "--range-left", "١"),
+            (("basis", *common), "--range-right", "1_0")):
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 2 and out == "", (flag, value)
+        assert flag in err or "bad window range" in err, err
 
 
 def test_huge_coefficients_print_exactly(capsys):
