@@ -5,11 +5,11 @@ recognition, and windowed basis enumeration.
 The basis consists of the vertices, the nonzero-degree paths, their
 ghosts, and the products path * ghost over canonical representative pairs.
 Since the vertex set is the whole lattice, every enumeration is restricted
-to an explicit window and built from its paths (Window.paths).  Pair words
-are the same-source path * ghost words over those paths that basis_shape
-accepts, listed in class-key order.  A class contributes its word only
-when its representative's source lies in the window, so pair counts are
-window-relative.
+to an explicit window.  Path and ghost words are built from the window's
+paths (Window.paths).  Each pair word is built from its class key, in key
+order: the two ranges and the level vectors fix the representative's
+source (canonical.rep_source).  A class contributes its word only when
+that source lies in the window, so pair counts are window-relative.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import canonical
-from .freealg import Element, Word, letter, pair_word
-from .kgraph import (Coords, KGraphError, Path, StandardKGraph, leq,
-                     degrees_upto, vsub)
+from .freealg import Element, Word, letter
+from .kgraph import (Coords, KGraphError, Path, StandardKGraph, _path,
+                     degrees_upto, leq, meet, vsub)
 from .rewrite import normalize
 
 
@@ -105,7 +105,9 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
                     range_left: Coords | None = None,
                     range_right: Coords | None = None) -> list[Word]:
     """All basis words with endpoints in the window and degrees within the
-    bound, in a deterministic order (vertices, paths, ghosts, pairs).
+    bound, in a deterministic order (vertices, paths, ghosts, pairs).  Each
+    pair word is built from its class key, in key order: ranges, |lam|,
+    then the two level vectors.
 
     range_left filters on the range of the single path (vertex itself for
     vertex words); range_right applies to the ghost component of pair words.
@@ -115,27 +117,54 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
     if shape != "all" and shape not in SHAPES:
         raise KGraphError(f"unknown shape {shape!r}")
     shapes = SHAPES if shape == "all" else (shape,)
-    paths = window.paths(graph)
-    lams = [p for p in paths if range_left in (None, p.range)]
     out: list[Word] = []
     if "vertex" in shapes:
         out.extend((letter(graph.vertex(v)),) for v in window.vertices()
                    if range_left in (None, v))
-    if "path" in shapes:
-        out.extend((letter(p),) for p in lams)
-    if "ghost" in shapes:
-        out.extend((letter(p, ghost=True),) for p in lams)
+    if "path" in shapes or "ghost" in shapes:
+        lams = [p for p in window.paths(graph)
+                if range_left in (None, p.range)]
+        if "path" in shapes:
+            out.extend((letter(p),) for p in lams)
+        if "ghost" in shapes:
+            out.extend((letter(p, ghost=True),) for p in lams)
     if "pair" in shapes:
-        mus: dict[Coords, list[Path]] = {}
-        for p in paths:
-            if range_right in (None, p.range):
-                mus.setdefault(p.source, []).append(p)
-        pairs = [w for lam in lams for mu in mus.get(lam.source, ())
-                 if basis_shape(w := pair_word(lam, mu)) == "pair"]
-        # class-key order (ranges, |lam|, level vectors); a key has one
-        # representative, so no two words tie
-        pairs.sort(key=lambda w: (w[0].path.range, w[1].path.range,
-                                  len(w[0].path.levels), w[0].path.levels,
-                                  w[1].path.levels))
-        out.extend(pairs)
+        out.extend(_pair_words(graph, window, range_left, range_right))
+    return out
+
+
+def _pair_words(graph: StandardKGraph, window: Window,
+                range_left: Coords | None,
+                range_right: Coords | None) -> list[Word]:
+    """One word lam . mu* per class key (rl, rr, p, q) with both ranges in
+    the window, 1 <= |p|, |q| <= the bound and a representative source s in
+    the window, in key order.  The rule is rep_source's: c is the meet of
+    the ranges, |s| = |rl| - |p|, and s is c lowered on its last coordinate
+    by the deficit |c| - |s|.  A key with a positive deficit whose level
+    vectors both end in 1 has no reduced member."""
+    verts = window.vertices()
+    lefts = [v for v in verts if range_left in (None, v)]
+    rights = [v for v in verts if range_right in (None, v)]
+    levels = range(1, graph.level + 1)
+    bound, floor = window.degree_bound, window.lo[-1]
+    out: list[Word] = []
+    for rl in lefts:
+        for rr in rights:
+            c = meet(rl, rr)
+            for a in range(1, bound + 1):
+                b = a + sum(rr) - sum(rl)
+                deficit = sum(c) - sum(rl) + a
+                if (not 1 <= b <= bound or deficit < 0
+                        or c[-1] - deficit < floor):
+                    continue
+                s = c[:-1] + (c[-1] - deficit,)
+                lams = [letter(_path(rl, s, p))
+                        for p in itertools.product(levels, repeat=a)]
+                mus = [letter(_path(rr, s, q), ghost=True)
+                       for q in itertools.product(levels, repeat=b)]
+                words = itertools.product(lams, mus)
+                if deficit > 0:
+                    words = (w for w in words if w[0].path.levels[-1] != 1
+                             or w[1].path.levels[-1] != 1)
+                out.extend(words)
     return out

@@ -239,9 +239,17 @@ class StandardKGraph:
         return vertex(self._check_coords(coords))
 
     def path(self, range_v: Coords, source_v: Coords, levels: Coords) -> Path:
-        """Validated path factory; levels in display order."""
-        return Path(self._check_coords(range_v), self._check_coords(source_v),
-                    self._check_levels(levels))
+        """Validated path factory; levels in display order.  A valid path
+        passes one quick test and is built unchecked.  On any fault the
+        separate checks run in order (coordinate counts, level entries,
+        then the Path checks), so the first fault is the one named."""
+        r, s, lv = tuple(range_v), tuple(source_v), tuple(levels)
+        if (len(r) == len(s) == self.k and all(map(le, s, r))
+                and len(lv) == sum(r) - sum(s)
+                and (not lv or (min(lv) >= 1 and max(lv) <= self.level))):
+            return _path(r, s, lv)
+        return Path(self._check_coords(r), self._check_coords(s),
+                    self._check_levels(lv))
 
     def paths(self, v: Coords, n: Coords) -> list[Path]:
         """All paths of degree n with range v, in lexicographic level order.

@@ -26,6 +26,7 @@ Coefficients are exact at any size; coordinates keep int()'s digit limit.
 
 from __future__ import annotations
 
+import functools
 import re
 from decimal import Decimal
 
@@ -55,13 +56,20 @@ def exact_decimal(x: int | str) -> str | int:
         return convert(Decimal(x))
 
 
+@functools.cache
+def _template(k: int, n: int) -> str:
+    """The format string of a path with k coordinates and n level entries;
+    a vertex's (n = 0) names only its range."""
+    coords = ",".join(["{}"] * k)
+    if n == 0:
+        return "v(" + coords + ")"
+    return "p[(" + coords + ")->(" + coords + ");" + ",".join(["{}"] * n) + "]"
+
+
 def format_path(p: Path) -> str:
     r, s, lv = p
-    if r == s:
-        return "v({})".format(",".join(map(str, r)))
-    return "p[({})->({});{}]".format(",".join(map(str, r)),
-                                    ",".join(map(str, s)),
-                                    ",".join(map(str, lv)))
+    # str.format ignores the source coordinates a vertex template leaves out
+    return _template(len(r), len(lv)).format(*r, *s, *lv)
 
 
 def format_letter(x: Letter) -> str:
@@ -98,10 +106,16 @@ _SPACE = re.compile(r"\s*")
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    """The comma-separated integers in text.  str.strip, not int(), drops
-    the space around each: str.strip and the patterns' whitespace include
-    U+001C..U+001F, int() does not."""
-    return tuple(map(int, map(str.strip, text.split(","))))
+    """The comma-separated integers in text.  int() drops the space around
+    each entry itself, so it is tried first.  The fallback strips each entry
+    with str.strip: that and the patterns' whitespace include U+001C..U+001F,
+    int() does not.  An integer beyond int()'s digit limit fails both ways
+    and raises from the fallback."""
+    parts = text.split(",")
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        return tuple(map(int, map(str.strip, parts)))
 
 
 def _parse_word(text: str, pos: int,

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from reference import reference_pair_words
 
 from kumjian_pask.algebra import (Window, basis_shape, enumerate_basis,
                                   is_basis_word, kp_mul, kp_star,
@@ -235,18 +236,29 @@ def _class_key_pairs(graph, window, range_left=None, range_right=None):
     return out
 
 
-@pytest.mark.parametrize("k,level", [(k, level) for k in (1, 2)
+# Per rank, a uniform window and a per-coordinate one whose last coordinate
+# is narrow, so lo[-1] cuts the representative source of keys that have
+# other member sources in the window.
+PAIR_WINDOWS = {
+    1: [((-1,), (1,)), ((-2,), (1,))],
+    2: [((-1, -1), (1, 1)), ((-2, 0), (1, 1))],
+    3: [((0, 0, 0), (1, 1, 1)), ((-1, 0, 0), (1, 1, 0))],
+}
+
+
+@pytest.mark.parametrize("k,level", [(k, level) for k in (1, 2, 3)
                                      for level in (1, 2, 3)])
 def test_pair_enumeration_matches_class_key_order(k, level):
+    """enumerate_basis builds pair words from class keys; both the filter
+    and sort over window paths and _class_key_pairs must agree with it."""
     graph = StandardKGraph(k, level)
-    corners = [((-1,) * k, (1,) * k), ((-2,), (1,)) if k == 1
-               else ((0, -1), (2, 1))]
-    for lo, hi in corners:
+    for lo, hi in PAIR_WINDOWS[k]:
         for bound in range(4):
             window = Window(lo, hi, bound)
             mid = window.vertices()[len(window.vertices()) // 2]
             for rl, rr in ((None, None), (mid, None), (None, hi), (mid, hi)):
                 got = enumerate_basis(graph, window, shape="pair",
                                       range_left=rl, range_right=rr)
-                assert got == _class_key_pairs(graph, window, rl, rr), (
-                    lo, hi, bound, rl, rr)
+                case = (lo, hi, bound, rl, rr)
+                assert got == reference_pair_words(graph, window, rl, rr), case
+                assert got == _class_key_pairs(graph, window, rl, rr), case

@@ -6,6 +6,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import reference_graph_path
 
 from kumjian_pask.freealg import IntegerRing
 from kumjian_pask.kgraph import (CompositionError, DegreeSplitError,
@@ -290,6 +293,7 @@ GRAPH_PATH_FAULTS = (
     ((1, 1), (2, 2), (1,), "source (2, 2) not <= range (1, 1)"),
     ((2, 1), (0, 0), (2, 0, 9), "level entry 0 out of range 1..2"),
     ((2, 1), (0, 0), (9, 0, 2), "level entry 9 out of range 1..2"),
+    ((2, 0), (0, 1), (1,), "source (0, 1) not <= range (2, 0)"),
 )
 
 
@@ -305,6 +309,64 @@ def test_graph_path_names_the_first_fault(r, s, lv, message):
     with pytest.raises(KGraphError) as err:
         StandardKGraph(2, 2).path(r, s, lv)
     assert str(err.value) == message
+
+
+PATH_ARG_FAULTS = ("coordinate count", "source above range", "level count",
+                   "entry 0", "entry above l")
+
+
+@st.composite
+def path_args(draw):
+    """(graph, range, source, levels): a valid path of a graph of rank and
+    level 1..3 with up to two faults from PATH_ARG_FAULTS, as tuples or
+    lists."""
+    k, level = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    n = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    s = [a - b for a, b in zip(r, n)]
+    lv = draw(st.lists(st.integers(1, level), min_size=sum(n),
+                       max_size=sum(n)))
+    for fault in draw(st.lists(st.sampled_from(PATH_ARG_FAULTS), max_size=2,
+                               unique=True)):
+        if fault == "coordinate count":
+            c = draw(st.sampled_from((r, s)))
+            if len(c) > 1 and draw(st.booleans()):
+                c.pop()
+            else:
+                c.append(0)
+        elif fault == "source above range":
+            i = draw(st.integers(0, min(len(r), len(s)) - 1))
+            s[i] = r[i] + draw(st.integers(1, 2))
+        elif fault == "level count":
+            if lv and draw(st.booleans()):
+                lv.pop()
+            else:
+                lv.append(1)
+        else:
+            e = 0 if fault == "entry 0" else level + 1
+            i = draw(st.integers(0, len(lv)))
+            lv[i:i + 1] = [e]
+    as_lists = draw(st.booleans())
+    args = (r, s, lv) if as_lists else tuple(map(tuple, (r, s, lv)))
+    return (StandardKGraph(k, level), *args)
+
+
+def _outcome(f, *args):
+    try:
+        p = f(*args)
+    except KGraphError as exc:
+        return type(exc), str(exc)
+    return type(p), p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(path_args())
+def test_graph_path_matches_the_separate_checks(args):
+    """The quick accept of StandardKGraph.path builds the same path as the
+    separate checks, and on a fault the same exception and message win."""
+    graph, r, s, lv = args
+    assert (_outcome(graph.path, r, s, lv)
+            == _outcome(reference_graph_path, graph, r, s, lv))
 
 
 @pytest.mark.parametrize("r,s,lv,message",

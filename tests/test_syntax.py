@@ -84,6 +84,11 @@ ACCEPTED = {
     "2*v(0).v(0)": "2 * v(0) . v(0)",
     # U+001C..U+001F are whitespace to \s, though int() does not strip them
     "p[(2)->(0);1\x1c,\x1f+2]": "1 * p[(2)->(0);1,2]",
+    # int() drops the other space itself; a list with U+001C..U+001F is
+    # stripped entry by entry, the other lists of its path are not
+    "p[(\t2\n)->(\n0\t);1,\t2]": "1 * p[(2)->(0);1,2]",
+    "p[(1)->(0);\u00a02\u3000]": "1 * p[(1)->(0);2]",
+    "p[(\x1e2)->( 0 );\t1, 2\n]": "1 * p[(2)->(0);1,2]",
     # integers carry an optional sign, written with no space after it
     "v( +1 )": "1 * v(1)",
     "v(-0)": "1 * v(0)",
