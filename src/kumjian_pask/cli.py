@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="-3..3",
                    help="sampling window (default -3..3)")
     p.add_argument("--degree-bound", type=_ascii_int, default=3,
-                   help="sampling degree bound (default 3)")
+                   help="sampling degree bound (default 3); kp caps "
+                        "path degrees at min(bound, 2)")
     p.add_argument("--case-index", type=_ascii_int, default=None,
                    help="run only the case with this index, which must be "
                         "a case of the run (for reproduction)")
@@ -240,9 +241,8 @@ def _run(args: argparse.Namespace) -> int:
         if args.format == "structured":
             print(json.dumps({"words": [format_word(w) for w in words]},
                              sort_keys=True, separators=(",", ":")))
-        else:
-            for w in words:
-                print(format_word(w))
+        elif words:
+            print("\n".join(map(format_word, words)))
         return 0
 
     # check

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .kgraph import Path
+from .kgraph import Coords, Path, _path, vadd
 
 
 class RingMismatchError(ValueError):
@@ -233,6 +233,17 @@ class Element:
         """The anti-involution: reverse words, swap path/ghost tags."""
         return Element(self.ring,
                        {word_star(w): c for w, c in self.terms.items()})
+
+    def translated(self, t: Coords) -> "Element":
+        """Every vertex of every letter moved by t.  A translate of a path
+        is a path, and translation is injective on words, so nothing is
+        checked or merged."""
+        def move(x: Letter) -> Letter:
+            r, s, lv = x.path
+            return tuple.__new__(Letter, (_path(vadd(r, t), vadd(s, t), lv),
+                                          x.ghost))
+        return Element(self.ring, {tuple(map(move, w)): c
+                                   for w, c in self.terms.items()})
 
     def convert(self, ring: Ring) -> "Element":
         """Reinterpret the coefficients in another ring via from_int."""

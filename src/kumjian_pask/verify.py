@@ -21,13 +21,14 @@ check_kp_relations enumerates shapes, not instances.  Translating by any t
 in Z^k is an automorphism of the standard k-graph, and NF(x + t) =
 NF(x) + t (the equivariance property in the tests), so every instance is
 a translate of a shape: its family's relation anchored at the origin.  A
-shape's footprint is the set of vertices the instance enumeration requires
-to lie in the window, and its in-window translates number, per coordinate,
-the box side less the footprint's span (or 0), multiplied over the
-coordinates.  Each shape with a translate is normalized once and counts
-that many cases.  The instances themselves are walked, in a fixed order,
-only to run one of them (case_index) or to name the failing ones after a
-shape fails.  The sampled checks normalize every relation.
+shape's footprint is the box of vertices an instance must keep in the
+window, and its translates are the t, one range per coordinate, that do.
+_kp_shapes is the only enumeration of the relations: instance i is a
+translate of one shape, numbered shape by shape and, within a shape, by t
+in lexicographic order.  Each shape is normalized once and counts its
+translates as cases; translates are built only to run one of them
+(case_index) or to name the failing ones after their shape fails.  The
+sampled checks normalize every relation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import groupby, islice, product
+from itertools import islice, product
 from math import prod
 
 from . import canonical
@@ -380,105 +381,56 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 # Exhaustive defining-relation check
 # --------------------------------------------------------------------------
 
-def _kp_instances(graph: StandardKGraph, window: Window, ring: Ring):
-    """(family, relation) for every defining-relation instance anchored in
-    the window, in a fixed order."""
-    capped = Window(window.lo, window.hi, min(window.degree_bound, 2))
-    verts, degs = capped.vertices(), capped.degrees()
-    paths = capped.paths(graph)
-    vl = {v: letter(graph.vertex(v)) for v in verts}
-
-    paths_from = {v: [] for v in verts}
-    paths_into = {v: [] for v in verts}
-    for p in paths:
-        paths_from[p.range].append(p)
-        paths_into[p.source].append(p)
-
-    for v, w in product(verts, repeat=2):
-        yield "KP1", _relation(ring, [(vl[v], vl[w])],
-                               [(vl[v],)] if v == w else [])
-
-    for p in paths:
-        lp, gp = letter(p), letter(p, ghost=True)
-        rv, sv = vl[p.range], vl[p.source]
-        for word, unit in (((rv, lp), lp), ((lp, sv), lp),
-                           ((sv, gp), gp), ((gp, rv), gp)):
-            yield "KP2", _relation(ring, [word], [(unit,)])
-
-    for v in verts:
-        for lam in paths_into[v]:
-            for mu in paths_from[v]:
-                rel = _relation(ring, [(letter(lam), letter(mu))],
-                                [(letter(compose(lam, mu)),)])
-                yield "KP2", rel
-                yield "KP2", rel.star()
-
-    # paths_from[v] runs through the degrees in order, so its same-degree
-    # groups are the in-window groups graph.paths(v, n) would give
-    for v in verts:
-        for _, group in groupby(paths_from[v], key=lambda p: p.degree):
-            for lam, mu in product(group, repeat=2):
-                yield "KP3", _relation(ring, [(letter(lam, True), letter(mu))],
-                                       [(vl[lam.source],)] if lam == mu else [])
-
-    # KP4 sums over every path of degree n from v, wherever its source lies
-    for v in verts:
-        for n in degs:
-            yield "KP4", _relation(ring, [(vl[v],)], [
-                pair_word(lam, lam) for lam in graph.paths(v, n)])
-
-
 def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     """(family, translates, relation) for every defining-relation shape
-    with at least one translate in the window.  A shape is a relation of
-    _kp_instances anchored at the origin; its footprint is the set of
-    vertices that _kp_instances requires to lie in the window, and its
-    translates are the instances it stands for.  With span the footprint's
-    extent in each coordinate, they number prod(max(0, L - span)) over the
-    box sides L."""
-    sides = [b - a + 1 for a, b in zip(window.lo, window.hi)]
+    with at least one translate in the window: the relation anchored at
+    the origin, and per coordinate the range of the t that keep its
+    footprint, from low to high, inside the window.  The instances are
+    relation.translated(t) for t in product(*translates), in this order."""
+    lo, hi = window.lo, window.hi
     degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
     origin = (0,) * graph.k
     o = letter(graph.vertex(origin))
 
-    def translates(span):
-        return prod(max(0, side - s) for side, s in zip(sides, span))
+    def translates(low, high):
+        return [range(a - l, b - h + 1)
+                for a, b, l, h in zip(lo, hi, low, high)]
 
     # the paths of degree n with range (from) or source (into) the origin
     paths_from = {n: graph.paths(origin, n) for n in degs}
     paths_into = {n: graph.paths(n, n) for n in degs}
 
     # KP1 on v = 0 and w = d
-    for d in product(*(range(1 - side, side) for side in sides)):
-        yield "KP1", translates(map(abs, d)), _relation(
+    for d in product(*(range(a - b, b - a + 1) for a, b in zip(lo, hi))):
+        yield "KP1", translates(meet(origin, d), join(origin, d)), _relation(
             ring, [(o, letter(graph.vertex(d)))], [] if any(d) else [(o,)])
 
-    # unit laws and KP3: footprint the range 0 and the source -n
+    # unit laws and KP3: footprint the source -n up to the range 0
     for n in degs:
-        if count := translates(n):
+        if all(ts := translates(vsub(origin, n), origin)):
             for p in paths_from[n]:
                 lp, gp = letter(p), letter(p, ghost=True)
                 sv = letter(graph.vertex(p.source))
                 for word, unit in (((o, lp), lp), ((lp, sv), lp),
                                    ((sv, gp), gp), ((gp, o), gp)):
-                    yield "KP2", count, _relation(ring, [word], [(unit,)])
+                    yield "KP2", ts, _relation(ring, [word], [(unit,)])
             for lam, mu in product(paths_from[n], repeat=2):
-                yield "KP3", count, _relation(
+                yield "KP3", ts, _relation(
                     ring, [(letter(lam, True), letter(mu))],
                     [(letter(graph.vertex(lam.source)),)] if lam == mu else [])
 
-    # compositions: footprint lam's range n1, the vertex 0, mu's source -n2
+    # compositions: footprint mu's source -n2 up to lam's range n1
     for n1, n2 in product(degs, repeat=2):
-        if count := translates(vadd(n1, n2)):
+        if all(ts := translates(vsub(origin, n2), n1)):
             for lam, mu in product(paths_into[n1], paths_from[n2]):
                 rel = _relation(ring, [(letter(lam), letter(mu))],
                                 [(letter(compose(lam, mu)),)])
-                yield "KP2", count, rel
-                yield "KP2", count, rel.star()
+                yield "KP2", ts, rel
+                yield "KP2", ts, rel.star()
 
     # KP4: footprint 0 only, since its paths leave the window
     for n in degs:
-        yield "KP4", prod(sides), _relation(ring, [(o,)], [
+        yield "KP4", translates(origin, origin), _relation(ring, [(o,)], [
             pair_word(lam, lam) for lam in paths_from[n]])
 
 
@@ -491,32 +443,31 @@ def check_kp_relations(graph: StandardKGraph,
     same-degree ghost products, and the vertex expansion identity with
     |n| <= 2.  Path degrees are capped at |d| <= 2.
 
-    The instances are not built.  Each shape of _kp_shapes (a relation
-    anchored at the origin) is normalized once, and its in-window
-    translates, counted in closed form from its footprint, are added to
-    the cases.  The instance walk of _kp_instances runs only when a shape
-    fails or case_index is given.  After a failure every instance of a
-    family with a failing shape is normalized itself, in the fixed order,
-    so failure indices and inputs are exact.  With case_index only that
-    instance (counted in the same fixed order) is normalized."""
+    The instances are numbered shape by shape, in _kp_shapes order, and
+    within a shape by translate t in lexicographic order.  Each shape is
+    normalized once and its translates, prod(map(len, translates)) of
+    them, are added to the cases.  Only when a shape fails is each of its
+    translates built and normalized, so failure indices and inputs are
+    exact.  With case_index only the instance of that number is built
+    and normalized."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    instances = _kp_instances(graph, window, ring)
+    shapes = _kp_shapes(graph, window, ring)
     if case_index is not None:
+        instances = ((family, relation, t) for family, ts, relation in shapes
+                     for t in product(*ts))
         return _report("kp", 0, graph, (
-            (i, "exhaustive", [instance])
-            for i, instance in _numbered("kp", instances, case_index)))
+            (i, "exhaustive", [(family, relation.translated(t))])
+            for i, (family, relation, t)
+            in _numbered("kp", instances, case_index)))
     start = time.perf_counter()
-    cases, failing = 0, set()
-    for family, count, relation in _kp_shapes(graph, window, ring):
-        cases += count
-        if (family not in failing
-                and not normalize(graph, relation).is_zero()):
-            failing.add(family)
-    failures = _report("kp", 0, graph, (
-        (i, "exhaustive", [(family, relation)])
-        for i, (family, relation) in enumerate(instances)
-        if family in failing)).failures if failing else []
+    cases, failures = 0, []
+    for family, ts, relation in shapes:
+        if not normalize(graph, relation).is_zero():
+            failures += _report("kp", 0, graph, (
+                (cases + j, "exhaustive", [(family, relation.translated(t))])
+                for j, t in enumerate(product(*ts)))).failures
+        cases += prod(map(len, ts))
     return CheckReport("kp", cases, 0, failures,
                        time.perf_counter() - start)
 

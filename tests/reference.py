@@ -8,13 +8,20 @@ reaches the same normal form.
 reference_graph_path validates a path with separate checks, one fault
 after another, and reference_pair_words lists the pair basis words by
 filtering and sorting all same-source pairs of window paths.
+
+reference_kp_instances lists every defining-relation instance in a window
+directly, vertex by vertex and path by path, with no shapes or
+translation; check_kp_relations must cover the same multiset.
 """
 
-from kumjian_pask.algebra import basis_shape
-from kumjian_pask.freealg import Element, pair_word, word_key
-from kumjian_pask.kgraph import KGraphError, Path
+from itertools import groupby, product
+
+from kumjian_pask.algebra import Window, basis_shape
+from kumjian_pask.freealg import Element, letter, pair_word, word_key
+from kumjian_pask.kgraph import KGraphError, Path, compose
 from kumjian_pask.rewrite import (TraceStep, all_redexes, apply_rule,
                                   find_redex, word_measure)
+from kumjian_pask.verify import _relation
 
 
 def reference_normalize(graph, elem, rng=None):
@@ -78,3 +85,51 @@ def reference_pair_words(graph, window, range_left=None, range_right=None):
                   key=lambda w: (w[0].path.range, w[1].path.range,
                                  len(w[0].path.levels), w[0].path.levels,
                                  w[1].path.levels))
+
+
+def reference_kp_instances(graph, window, ring):
+    """(family, relation) for every defining-relation instance anchored in
+    the window, in a fixed order."""
+    capped = Window(window.lo, window.hi, min(window.degree_bound, 2))
+    verts, degs = capped.vertices(), capped.degrees()
+    paths = capped.paths(graph)
+    vl = {v: letter(graph.vertex(v)) for v in verts}
+
+    paths_from = {v: [] for v in verts}
+    paths_into = {v: [] for v in verts}
+    for p in paths:
+        paths_from[p.range].append(p)
+        paths_into[p.source].append(p)
+
+    for v, w in product(verts, repeat=2):
+        yield "KP1", _relation(ring, [(vl[v], vl[w])],
+                               [(vl[v],)] if v == w else [])
+
+    for p in paths:
+        lp, gp = letter(p), letter(p, ghost=True)
+        rv, sv = vl[p.range], vl[p.source]
+        for word, unit in (((rv, lp), lp), ((lp, sv), lp),
+                           ((sv, gp), gp), ((gp, rv), gp)):
+            yield "KP2", _relation(ring, [word], [(unit,)])
+
+    for v in verts:
+        for lam in paths_into[v]:
+            for mu in paths_from[v]:
+                rel = _relation(ring, [(letter(lam), letter(mu))],
+                                [(letter(compose(lam, mu)),)])
+                yield "KP2", rel
+                yield "KP2", rel.star()
+
+    # paths_from[v] runs through the degrees in order, so its same-degree
+    # groups are the in-window groups graph.paths(v, n) would give
+    for v in verts:
+        for _, group in groupby(paths_from[v], key=lambda p: p.degree):
+            for lam, mu in product(group, repeat=2):
+                yield "KP3", _relation(ring, [(letter(lam, True), letter(mu))],
+                                       [(vl[lam.source],)] if lam == mu else [])
+
+    # KP4 sums over every path of degree n from v, wherever its source lies
+    for v in verts:
+        for n in degs:
+            yield "KP4", _relation(ring, [(vl[v],)], [
+                pair_word(lam, lam) for lam in graph.paths(v, n)])

@@ -6,11 +6,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from reference import reference_kp_instances
+
 import kumjian_pask.cli  # noqa: F401  (with the package, every module the tracer wraps)
 from kumjian_pask.algebra import Window
 from kumjian_pask.freealg import IntegerRing
 from kumjian_pask.kgraph import StandardKGraph
-from kumjian_pask.verify import _kp_instances, check_kp_relations
+from kumjian_pask.verify import check_kp_relations
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,9 +68,9 @@ def test_tracer_wraps_every_target_and_restores(monkeypatch):
 
 def test_kp_case_count_matches_benchmark_oracle(monkeypatch):
     """The cases of a passing kp run, summed from shape translates, equal
-    the instances _kp_instances lists and the benchmark's closed form, on
-    uniform, per-coordinate and thin boxes.  A 0..0 side is thinner than
-    every path's span, so some shapes have no translate."""
+    the instances reference_kp_instances lists and the benchmark's closed
+    form, on uniform, per-coordinate and thin boxes.  A 0..0 side is
+    thinner than every path's span, so some shapes have no translate."""
     workloads = load_bench_module(monkeypatch, "workloads")
     boxes = {1: [((-1,), (1,)), ((0,), (0,)), ((0,), (4,))],
              2: [((-1, -1), (1, 1)), ((0, -1), (2, 1)), ((0, 0), (0, 4))],
@@ -81,8 +83,8 @@ def test_kp_case_count_matches_benchmark_oracle(monkeypatch):
     for k, level, lo, hi, bound in runs:
         graph, window = StandardKGraph(k, level), Window(lo, hi, bound)
         report = check_kp_relations(graph, window)
-        instances = sum(1 for _ in _kp_instances(graph, window,
-                                                 IntegerRing()))
+        instances = sum(1 for _ in reference_kp_instances(graph, window,
+                                                          IntegerRing()))
         assert report.passed, (k, level, lo, hi, bound)
         assert report.cases == instances == workloads.kp_case_count(
             k, level, lo, hi, bound), (k, level, lo, hi, bound)

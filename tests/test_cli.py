@@ -387,21 +387,29 @@ def test_huge_coefficients_print_exactly(capsys):
         {"coeff": digits, "word": ["v(0)"]}]
 
 
-def test_closed_stdout_exits_141_quietly():
+_LADDER_ONES = ",".join(["1"] * 12)
+
+
+@pytest.mark.parametrize("argv,head", [
+    (["normalize", "--k", "2", "--level", "2",
+      f"p[(12,12)->(0,12);{_LADDER_ONES}]* . "
+      f"p[(12,12)->(12,0);{_LADDER_ONES}]"], b"1 * p[(0,1"),
+    (["basis", "--k", "2", "--level", "3", "--window", "-3..3",
+      "--degree-bound", "2"], b"v(-3,-3)\nv"),
+], ids=["normalize", "basis"])
+def test_closed_stdout_exits_141_quietly(argv, head):
     """A reader that stops early (kpalg ... | head -c 10) gets exit status
-    141 and no traceback.  The d = 12 ladder prints about 370 kB, far more
-    than a pipe buffers, so the write after the close always fails."""
-    ones = ",".join(["1"] * 12)
-    ladder = f"p[(12,12)->(0,12);{ones}]* . p[(12,12)->(12,0);{ones}]"
+    141 and no traceback.  The d = 12 ladder prints about 370 kB and the
+    20,983-word basis listing about 900 kB, far more than a pipe buffers,
+    so the write after the close always fails."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "kumjian_pask", "normalize", "--k", "2",
-         "--level", "2", ladder],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(10) == b"1 * p[(0,1"
+    proc = subprocess.Popen([sys.executable, "-m", "kumjian_pask", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(10) == head
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")

@@ -80,11 +80,15 @@ def translate(x: Element, t) -> Element:
 @given(graph_and(1, GRAPHS + [StandardKGraph(2, 3)]), st.data())
 def test_normal_form_is_translation_equivariant(case, data):
     """NF(x + t) = NF(x) + t.  check_kp_relations relies on it at every
-    level, so level 3 is drawn too."""
+    level, so level 3 is drawn too, and builds its translates with
+    Element.translated, which must agree with translate and be undone by
+    -t."""
     graph, (x,) = case
     t = data.draw(coords(graph.k, -3, 3))
     assert normalize(graph, translate(x, t)) == translate(normalize(graph, x),
                                                           t)
+    assert x.translated(t) == translate(x, t)
+    assert x.translated(t).translated(tuple(-c for c in t)) == x
 
 
 @SETTINGS

@@ -2,9 +2,10 @@
 seeds, and report failures faithfully."""
 
 import pytest
+from reference import reference_kp_instances
 
 from kumjian_pask.algebra import Window, uniform_window
-from kumjian_pask.freealg import IntegerRing, ModularRing
+from kumjian_pask.freealg import Element, IntegerRing, ModularRing
 from kumjian_pask.kgraph import StandardKGraph
 from kumjian_pask.verify import (CHECKS, CheckReport, _run_cases,
                                  check_confluence, check_kp_relations,
@@ -204,8 +205,9 @@ def test_kp_failure_names_element_and_family(monkeypatch):
     assert {f.detail.split()[0] for f in full.failures} == {
         "KP1", "KP2", "KP3", "KP4"}
     third = full.failures[3]
-    assert third.input_text == "1 * v(0) . v(-1)"
-    assert third.detail == "KP1 normal form 1 * v(0) . v(-1) is not 0"
+    assert third.input_text == "-1 * v(-1) + 1 * v(-1) . v(-1)"
+    assert third.detail == ("KP1 normal form -1 * v(-1) + 1 * v(-1) . v(-1) "
+                            "is not 0")
     one = check_kp_relations(graph, window, case_index=3)
     assert one.cases == 1 and one.failures == [third]
 
@@ -240,7 +242,6 @@ def test_kp_family_counts_match_closed_forms():
 
     from kumjian_pask.algebra import Window
     from kumjian_pask.kgraph import norm, vadd, vsub
-    from kumjian_pask.verify import _kp_instances
 
     for graph, window in ((StandardKGraph(1, 2), uniform_window(1, -1, 1, 2)),
                           (StandardKGraph(2, 2), uniform_window(2, -2, 2, 3)),
@@ -255,7 +256,7 @@ def test_kp_family_counts_match_closed_forms():
 
         n_paths = sum(count(v, vsub) for v in verts)
         got = Counter(family for family, _ in
-                      _kp_instances(graph, window, IntegerRing()))
+                      reference_kp_instances(graph, window, IntegerRing()))
         assert got == {
             "KP1": len(verts) ** 2,
             "KP2": 4 * n_paths + 2 * sum(count(v, vadd) * count(v, vsub)
@@ -338,10 +339,9 @@ def test_kp_memo_agrees_with_direct_normalization(k, level, window):
     directly, is 0, and the memoized report passes over the same number
     of cases."""
     from kumjian_pask.rewrite import normalize
-    from kumjian_pask.verify import _kp_instances
 
     graph = StandardKGraph(k, level)
-    instances = list(_kp_instances(graph, window, IntegerRing()))
+    instances = list(reference_kp_instances(graph, window, IntegerRing()))
     nonzero = [(family, rel) for family, rel in instances
                if not normalize(graph, rel).is_zero()]
     assert nonzero == []
@@ -396,39 +396,74 @@ def _translation_class(relation):
 def test_kp_normalizes_each_translation_class_once(monkeypatch, k, level,
                                                    window, classes):
     """A passing run makes one normalize call per translation class of the
-    instances, and never walks the instances themselves."""
+    instances, and builds no translate."""
     from kumjian_pask import verify
 
     graph = StandardKGraph(k, level)
-    instances = list(verify._kp_instances(graph, window, IntegerRing()))
+    instances = list(reference_kp_instances(graph, window, IntegerRing()))
     assert len({_translation_class(rel) for _, rel in instances}) == classes
-    real_normalize, real_instances = verify.normalize, verify._kp_instances
-    calls, walked = [], []
+    real_normalize, real_translated = verify.normalize, Element.translated
+    calls, translated = [], []
 
     def spy(graph, elem, **kwargs):
         calls.append(elem)
         return real_normalize(graph, elem, **kwargs)
 
-    def walking(*args):
-        for instance in real_instances(*args):
-            walked.append(instance)
-            yield instance
+    def translating(self, t):
+        translated.append(t)
+        return real_translated(self, t)
 
     monkeypatch.setattr(verify, "normalize", spy)
-    monkeypatch.setattr(verify, "_kp_instances", walking)
+    monkeypatch.setattr(Element, "translated", translating)
     report = check_kp_relations(graph, window)
     assert report.passed and report.cases == len(instances)
-    assert len(calls) == classes and walked == []
+    assert len(calls) == classes and translated == []
+
+
+@pytest.mark.parametrize("k,level,window", [
+    (1, 2, uniform_window(1, -1, 1, 2)),
+    (2, 2, uniform_window(2, -2, 2, 2)),
+    (2, 3, Window((0, -1), (2, 1), 3)),
+    (3, 2, uniform_window(3, -1, 1, 2)),
+    (2, 1, Window((0, 0), (0, 4), 3)),
+], ids=["1-2", "2-2", "2-3-box", "3-2", "2-1-thin"])
+def test_kp_shape_translates_are_the_reference_instances(k, level, window):
+    """Per family, the translates of the shapes are the reference
+    instances, each exactly once, and a shape's translate count is the
+    length of its product of ranges."""
+    from collections import Counter
+    from itertools import product
+    from math import prod
+
+    from kumjian_pask.verify import _kp_shapes
+
+    def instances(pairs):
+        return Counter((family, frozenset(relation.terms.items()))
+                       for family, relation in pairs)
+
+    graph, ring = StandardKGraph(k, level), IntegerRing()
+    shapes = list(_kp_shapes(graph, window, ring))
+    translates = instances((family, relation.translated(t))
+                           for family, ts, relation in shapes
+                           for t in product(*ts))
+    reference = instances(reference_kp_instances(graph, window, ring))
+    assert translates == reference
+    assert max(reference.values()) == 1
+    assert check_kp_relations(graph, window).cases == sum(
+        prod(map(len, ts)) for _, ts, _ in shapes) == sum(reference.values())
 
 
 def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
     """With an engine that leaves every relation with a level-2 entry
     unreduced, exactly those instances fail, though each has translates
-    and same-shape relations of other levels that pass."""
-    from kumjian_pask import verify
-    from kumjian_pask.verify import _kp_instances
+    and same-shape relations of other levels that pass; each failure's
+    index reruns that failure alone."""
+    from collections import Counter
 
-    graph, window = StandardKGraph(2, 2), uniform_window(2, -2, 2, 2)
+    from kumjian_pask import verify
+    from kumjian_pask.syntax import format_element
+
+    graph, window = StandardKGraph(2, 2), uniform_window(2, -1, 1, 2)
 
     def has_level_2(elem):
         return any(2 in x.path.levels for w in elem.terms for x in w)
@@ -436,8 +471,11 @@ def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
     real = verify.normalize
     monkeypatch.setattr(verify, "normalize", lambda graph, elem: (
         elem if has_level_2(elem) else real(graph, elem)))
-    expected = [i for i, (_, rel) in enumerate(
-        _kp_instances(graph, window, IntegerRing())) if has_level_2(rel)]
+    expected = Counter(format_element(rel) for _, rel in reference_kp_instances(
+        graph, window, IntegerRing()) if has_level_2(rel))
     report = check_kp_relations(graph, window)
-    assert 0 < len(expected) < report.cases
-    assert [f.index for f in report.failures] == expected
+    assert 0 < len(report.failures) < report.cases
+    assert Counter(f.input_text for f in report.failures) == expected
+    for f in report.failures:
+        assert check_kp_relations(graph, window,
+                                  case_index=f.index).failures == [f]
