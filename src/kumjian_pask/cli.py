@@ -114,10 +114,13 @@ def _element_payload(elem: Element) -> dict:
     }
 
 
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
 def _print_element(elem: Element, fmt: str) -> None:
     if fmt == "structured":
-        print(json.dumps({"element": _element_payload(elem)},
-                         sort_keys=True, separators=(",", ":")))
+        _print_json({"element": _element_payload(elem)})
     else:
         print(format_element(elem))
 
@@ -212,9 +215,8 @@ def _run(args: argparse.Namespace) -> int:
         result = normalize(graph, elem, trace=trace if args.trace else None)
         if args.trace and args.format == "structured":
             # one JSON document: the steps ride along with the element
-            print(json.dumps({"element": _element_payload(result),
-                              "trace": steps},
-                             sort_keys=True, separators=(",", ":")))
+            _print_json({"element": _element_payload(result),
+                         "trace": steps})
         else:
             _print_element(result, args.format)
         return 0
@@ -239,8 +241,7 @@ def _run(args: argparse.Namespace) -> int:
         words = enumerate_basis(graph, window, shape=args.shape,
                                 range_left=range_left, range_right=range_right)
         if args.format == "structured":
-            print(json.dumps({"words": [format_word(w) for w in words]},
-                             sort_keys=True, separators=(",", ":")))
+            _print_json({"words": [format_word(w) for w in words]})
         elif words:
             print("\n".join(map(format_word, words)))
         return 0
@@ -261,8 +262,7 @@ def _run(args: argparse.Namespace) -> int:
         reports = [verify.CHECKS[args.which](graph, args.seed, args.cases,
                                              window, ring, args.case_index)]
     if args.format == "structured":
-        print(json.dumps({"reports": [r.as_dict() for r in reports]},
-                         sort_keys=True, separators=(",", ":")))
+        _print_json({"reports": [r.as_dict() for r in reports]})
     else:
         for r in reports:
             for line in r.text_lines():

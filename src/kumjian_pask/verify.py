@@ -9,7 +9,10 @@ relation that is 0 before rewriting, except lemma8 on k = 1 or level 1.
 
 Each check runs seeded cases; a case derives its own RNG from the string
 "<seed>:<name>:<index>" so any failure is reproducible from the report
-alone.  Element equality is exact; there are no tolerances.
+alone.  Element equality is exact; there are no tolerances.  A run's
+cases are numbered from 0, and a case_index reruns one of them; an index
+the run does not have, including any index of a check with nothing to
+sample, raises CaseIndexError from every check alike (_indices).
 
 check_kp_relations is exhaustive over a window (no randomness); the other
 checks are randomized samplers.  Confluence is sampled by critical pairs:
@@ -27,16 +30,17 @@ _kp_shapes is the only enumeration of the relations: instance i is a
 translate of one shape, numbered shape by shape and, within a shape, by t
 in lexicographic order.  Each shape is normalized once and counts its
 translates as cases; translates are built only to run one of them
-(case_index) or to name the failing ones after their shape fails.  The
-sampled checks normalize every relation.
+(case_index, found by skipping whole shapes by their translate counts) or
+to name the failing ones after their shape fails.  The sampled checks
+normalize every relation.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from itertools import islice, product
+from dataclasses import asdict, dataclass, field
+from itertools import product
 from math import prod
 
 from . import canonical
@@ -51,8 +55,8 @@ from .syntax import format_element
 @dataclass
 class CaseFailure:
     index: int
-    case_seed: str
-    input_text: str
+    seed: str
+    input: str
     detail: str
 
 
@@ -72,21 +76,14 @@ class CheckReport:
         lines = [f"name={self.name} cases={self.cases} "
                  f"failures={len(self.failures)} seed={self.seed}"]
         for f in self.failures:
-            lines.append(f"failure index={f.index} seed={f.case_seed} "
-                         f"input={f.input_text} detail={f.detail}")
+            lines.append(f"failure index={f.index} seed={f.seed} "
+                         f"input={f.input} detail={f.detail}")
         return lines
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "seed": self.seed,
-            "failures": [
-                {"index": f.index, "seed": f.case_seed,
-                 "input": f.input_text, "detail": f.detail}
-                for f in self.failures
-            ],
-        }
+        doc = asdict(self)
+        del doc["elapsed"]
+        return doc
 
 
 def _case_rng(seed: int, name: str, index: int) -> random.Random:
@@ -137,15 +134,6 @@ def _relation(ring: Ring, plus: list[Word], minus: list[Word]) -> Element:
                                      *((w, -1) for w in minus)])
 
 
-def _verdict(graph: StandardKGraph, label: str, relation: Element):
-    """None if the relation normalizes to 0, else (input text, detail)."""
-    result = normalize(graph, relation)
-    if result.is_zero():
-        return None
-    return (format_element(relation),
-            f"{label} normal form {format_element(result)} is not 0")
-
-
 def _report(name, seed, graph, cases) -> CheckReport:
     """The report over (index, case seed, relations) triples, where
     relations yields (label, relation) pairs; a case fails at its first
@@ -155,10 +143,13 @@ def _report(name, seed, graph, cases) -> CheckReport:
     start = time.perf_counter()
     for index, case_seed, relations in cases:
         report.cases += 1
-        failure = next(filter(None, (_verdict(graph, label, relation)
-                                     for label, relation in relations)), None)
-        if failure is not None:
-            report.failures.append(CaseFailure(index, case_seed, *failure))
+        for label, relation in relations:
+            result = normalize(graph, relation)
+            if not result.is_zero():
+                report.failures.append(CaseFailure(
+                    index, case_seed, format_element(relation),
+                    f"{label} normal form {format_element(result)} is not 0"))
+                break
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -167,17 +158,15 @@ class CaseIndexError(ValueError):
     """A case index that names no case of the run."""
 
 
-def _numbered(name, cases, case_index):
-    """(index, case) for every case of a run, or for the one at case_index
-    only; raises CaseIndexError if the run has no case at that index."""
-    numbered = enumerate(cases)
+def _indices(name: str, cases: int, case_index: int | None) -> range:
+    """The indices of a run of that many cases: all of them, or case_index
+    alone; raises CaseIndexError if the run has no case at case_index."""
     if case_index is None:
-        return numbered
-    chosen = list(islice(numbered, case_index, case_index + 1))
-    if not chosen:
+        return range(cases)
+    if not 0 <= case_index < cases:
         raise CaseIndexError(f"case index {case_index} names no case of "
                              f"this {name} run")
-    return chosen
+    return range(case_index, case_index + 1)
 
 
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
@@ -188,7 +177,7 @@ def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
     return _report(name, seed, graph, (
         (i, f"{seed}:{name}:{i}",
          body(_case_rng(seed, name, i), graph, window, ring))
-        for i, _ in _numbered(name, range(cases), case_index)))
+        for i in _indices(name, cases, case_index)))
 
 
 def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
@@ -251,7 +240,7 @@ def check_lemma8(graph: StandardKGraph, seed: int, cases: int,
     lemma8 cases on k = 1, level 2, and has to change first."""
     if (graph.k == graph.level == 1
             or _default_window(graph, window).degree_bound == 0):
-        cases, case_index = 0, None
+        cases = 0
 
     def body(rng, graph, window, ring):
         key = canonical.class_key(*_rand_reduced_pair(rng, graph, window))
@@ -269,11 +258,12 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
                   window: Window | None = None, ring: Ring | None = None,
                   case_index: int | None = None) -> CheckReport:
     """Shrinking both degrees of an S-set by a common nonzero n-hat below
-    the meet leaves the pair-word sum unchanged in the quotient.  A draw
-    with no such n-hat is drawn again; with degree bound 0 there is none,
-    and the report has no cases."""
+    the meet leaves the pair-word sum unchanged in the quotient.  w is
+    always v - m + n, so alpha and beta share a source and no pair word
+    dies by R2 alone.  A draw with no such n-hat is drawn again; with
+    degree bound 0 there is none, and the report has no cases."""
     if _default_window(graph, window).degree_bound == 0:
-        cases, case_index = 0, None
+        cases = 0
 
     def body(rng, graph, window, ring):
         hi = min(window.degree_bound, 3)
@@ -285,8 +275,7 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
             n = _rand_degree(rng, graph.k, hi, shared)
             p = _rand_levels(rng, graph, sp)
             q = _rand_levels(rng, graph, norm(n) - shared)
-            w = (vadd(vsub(v, m), n) if rng.random() < 0.8
-                 else _rand_vertex(rng, window))
+            w = vadd(vsub(v, m), n)
             cap = meet(m, n)
             candidates = [d for d in degrees_upto(
                 graph.k, min(norm(cap), shared), 1) if leq(d, cap)]
@@ -310,7 +299,7 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
     there is no such n to sample, and at level 1 every path is all ones, so
     both sums are empty; the report then has no cases."""
     if graph.level == 1 or _default_window(graph, window).degree_bound < 2:
-        cases, case_index = 0, None
+        cases = 0
 
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
@@ -448,28 +437,31 @@ def check_kp_relations(graph: StandardKGraph,
     normalized once and its translates, prod(map(len, translates)) of
     them, are added to the cases.  Only when a shape fails is each of its
     translates built and normalized, so failure indices and inputs are
-    exact.  With case_index only the instance of that number is built
-    and normalized."""
+    exact.  With case_index the shapes before the one holding that number
+    are skipped by their translate counts, unnormalized, and only the
+    instance of that number is built and normalized."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    shapes = _kp_shapes(graph, window, ring)
-    if case_index is not None:
-        instances = ((family, relation, t) for family, ts, relation in shapes
-                     for t in product(*ts))
-        return _report("kp", 0, graph, (
-            (i, "exhaustive", [(family, relation.translated(t))])
-            for i, (family, relation, t)
-            in _numbered("kp", instances, case_index)))
     start = time.perf_counter()
     cases, failures = 0, []
-    for family, ts, relation in shapes:
-        if not normalize(graph, relation).is_zero():
-            failures += _report("kp", 0, graph, (
-                (cases + j, "exhaustive", [(family, relation.translated(t))])
-                for j, t in enumerate(product(*ts)))).failures
-        cases += prod(map(len, ts))
-    return CheckReport("kp", cases, 0, failures,
-                       time.perf_counter() - start)
+    for family, ts, relation in _kp_shapes(graph, window, ring):
+        count = prod(map(len, ts))
+        if case_index is None:
+            if not normalize(graph, relation).is_zero():
+                failures += _report("kp", 0, graph, (
+                    (cases + j, "exhaustive", [(family, relation.translated(t))])
+                    for j, t in enumerate(product(*ts)))).failures
+        elif cases <= case_index < cases + count:
+            # the translate's digits in the mixed radix of its ranges
+            j, t = case_index - cases, []
+            for r in reversed(ts):
+                j, digit = divmod(j, len(r))
+                t.insert(0, r[digit])
+            return _report("kp", 0, graph, [
+                (case_index, "exhaustive", [(family, relation.translated(t))])])
+        cases += count
+    _indices("kp", cases, case_index)  # raises if case_index was not found
+    return CheckReport("kp", cases, 0, failures, time.perf_counter() - start)
 
 
 CHECKS = {

@@ -215,8 +215,8 @@ def test_check_failure_exits_one(capsys, monkeypatch):
                      case_index=None):
         report = verify.CheckReport(name="lemma8", cases=cases, seed=seed)
         report.failures.append(verify.CaseFailure(
-            index=0, case_seed=f"{seed}:lemma8:0",
-            input_text="1 * v(0,0)", detail="synthetic failure"))
+            index=0, seed=f"{seed}:lemma8:0",
+            input="1 * v(0,0)", detail="synthetic failure"))
         return report
 
     monkeypatch.setitem(verify.CHECKS, "lemma8", broken_check)
@@ -259,11 +259,23 @@ def test_case_index_runs_one_kp_case(capsys):
     code, out, _ = run_cli(capsys, "check", "kp", "--k", "1", "--level", "2",
                            *window, "--case-index", "78")
     assert code == 0 and out == "name=kp cases=1 failures=0 seed=0\n"
-    for argv in (("kp", *window, "--case-index", "79"),
-                 ("lemma3", "--cases", "5", "--case-index", "17")):
-        code, out, err = run_cli(capsys, "check", *argv, "--k", "1",
-                                 "--level", "2")
+    # a check with nothing to sample has no case 0: lemma8 at k = level =
+    # 1, lemma12 at degree bound 0 and lemma13 at level 1
+    k1l2 = ("--k", "1", "--level", "2")
+    for argv in (("kp", *k1l2, *window, "--case-index", "79"),
+                 ("lemma3", *k1l2, "--cases", "5", "--case-index", "17"),
+                 ("lemma8", "--k", "1", "--level", "1", "--case-index", "0"),
+                 ("lemma12", "--k", "2", "--level", "2",
+                  "--degree-bound", "0", "--case-index", "0"),
+                 ("lemma13", "--k", "2", "--level", "1",
+                  "--case-index", "0")):
+        code, out, err = run_cli(capsys, "check", *argv)
         assert code == 2 and out == "" and argv[0] in err
+        assert "names no case" in err
+    # under all, every check must have the index
+    code, out, err = run_cli(capsys, "check", "all", "--k", "2", "--level",
+                             "1", "--case-index", "0")
+    assert code == 2 and out == "" and "lemma13 run" in err
 
 
 def test_check_all_degree_bound_zero(capsys):
@@ -406,10 +418,10 @@ def test_closed_stdout_exits_141_quietly(argv, head):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "kumjian_pask", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
-    assert proc.stdout.read(10) == head
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    with subprocess.Popen([sys.executable, "-m", "kumjian_pask", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(10) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")

@@ -82,17 +82,18 @@ def test_failure_plumbing_records_seed_and_input():
     assert report.cases == 20
     assert not report.passed
     for f in report.failures:
-        assert f.case_seed == f"31:synthetic:{f.index}"
+        assert f.seed == f"31:synthetic:{f.index}"
         value = _case_rng(31, "synthetic", f.index).randint(0, 9)
-        assert f.input_text == f"1 * v({value})"
+        assert f.input == f"1 * v({value})"
         assert f.detail == f"value={value} normal form 1 * v({value}) is not 0"
     lines = report.text_lines()
     assert lines[0] == (f"name=synthetic cases=20 "
                         f"failures={len(report.failures)} seed=31")
     assert len(lines) == 1 + len(report.failures)
-    payload = report.as_dict()
-    assert payload["name"] == "synthetic"
-    assert len(payload["failures"]) == len(report.failures)
+    assert report.as_dict() == {
+        "name": "synthetic", "cases": 20, "seed": 31,
+        "failures": [{"index": f.index, "seed": f.seed, "input": f.input,
+                      "detail": f.detail} for f in report.failures]}
 
 
 def test_report_passed_iff_no_failures():
@@ -205,7 +206,7 @@ def test_kp_failure_names_element_and_family(monkeypatch):
     assert {f.detail.split()[0] for f in full.failures} == {
         "KP1", "KP2", "KP3", "KP4"}
     third = full.failures[3]
-    assert third.input_text == "-1 * v(-1) + 1 * v(-1) . v(-1)"
+    assert third.input == "-1 * v(-1) + 1 * v(-1) . v(-1)"
     assert third.detail == ("KP1 normal form -1 * v(-1) + 1 * v(-1) . v(-1) "
                             "is not 0")
     one = check_kp_relations(graph, window, case_index=3)
@@ -298,6 +299,30 @@ def test_sampled_relations_are_never_zero(monkeypatch, name):
                     continue
                 zero = sum(1 for elem in handed if elem.is_zero())
                 assert zero == 0, (k, level, bound, zero)
+
+
+def test_lemma12_relations_are_not_decided_by_r2_alone(monkeypatch):
+    """w is chained to v, so the S-set pairs share their sources and no
+    lemma12 relation is settled by orthogonality (R2) steps alone."""
+    from kumjian_pask import verify
+    from kumjian_pask.rewrite import RuleId
+
+    real, rules = verify.normalize, []
+
+    def spy(graph, elem, **kwargs):
+        steps = set()
+        result = real(graph, elem, trace=lambda step: steps.add(step.rule))
+        rules.append(steps)
+        return result
+
+    monkeypatch.setattr(verify, "normalize", spy)
+    for k, level in ((1, 2), (2, 2), (2, 3)):
+        rules.clear()
+        report = verify.check_lemma12(StandardKGraph(k, level), seed=42,
+                                      cases=500)
+        assert report.passed and len(rules) == report.cases == 500
+        r2_only = sum(1 for steps in rules if steps <= {RuleId.R2_ORTHO})
+        assert r2_only == 0, (k, level, r2_only)
 
 
 def test_lemma12_offers_every_nhat_below_the_meet(monkeypatch):
@@ -458,7 +483,7 @@ def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
     unreduced, exactly those instances fail, though each has translates
     and same-shape relations of other levels that pass.  The first, the
     last and every 100th failure's index reruns that failure alone (each
-    rerun walks the instance stream from the start)."""
+    rerun builds the shapes before its own again)."""
     from collections import Counter
 
     from kumjian_pask import verify
@@ -476,7 +501,7 @@ def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
         graph, window, IntegerRing()) if has_level_2(rel))
     report = check_kp_relations(graph, window)
     assert 0 < len(report.failures) < report.cases
-    assert Counter(f.input_text for f in report.failures) == expected
+    assert Counter(f.input for f in report.failures) == expected
     for f in report.failures[::100] + report.failures[-1:]:
         assert check_kp_relations(graph, window,
                                   case_index=f.index).failures == [f]
