@@ -133,7 +133,7 @@ def pair_kind(x: Letter, y: Letter) -> str | None:
     (mu_r, mu_s, mu_lv), y_ghost = y
     if x_ghost or not y_ghost or lam_r == s or s != mu_s:
         return None
-    c = meet(lam_r, mu_r)
+    c = tuple(map(min, lam_r, mu_r))
     if c != s and lam_lv[-1] == 1 and mu_lv[-1] == 1:
         return "unreduced"
     return "representative" if c[:-1] == s[:-1] else "nonrep"

@@ -135,8 +135,8 @@ def star_letter(x: Letter) -> Letter:
 
 def letter_key(x: Letter) -> tuple:
     # tag order: vertex < path < ghost
-    tag = 0 if x.is_vertex else (2 if x.ghost else 1)
-    return (tag, x.path.range, x.path.source, x.path.levels)
+    (r, s, levels), ghost = x
+    return (0 if r == s else (2 if ghost else 1), r, s, levels)
 
 
 Word = tuple[Letter, ...]

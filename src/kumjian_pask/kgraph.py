@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import le, sub
+from operator import add, le, sub
 
 Coords = tuple[int, ...]
 
@@ -55,13 +55,13 @@ def _check_lengths(a: Coords, b: Coords) -> None:
 def join(a: Coords, b: Coords) -> Coords:
     """Pointwise maximum."""
     _check_lengths(a, b)
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def meet(a: Coords, b: Coords) -> Coords:
     """Pointwise minimum."""
     _check_lengths(a, b)
-    return tuple(x if x < y else y for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def norm(a: Coords) -> int:
@@ -77,12 +77,12 @@ def leq(a: Coords, b: Coords) -> bool:
 
 def vadd(a: Coords, b: Coords) -> Coords:
     _check_lengths(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Coords, b: Coords) -> Coords:
     _check_lengths(a, b)
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monus(a: Coords, b: Coords) -> Coords:

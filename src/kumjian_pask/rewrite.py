@@ -33,13 +33,13 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, NamedTuple, Optional
 
 from . import canonical
 from .freealg import Element, Letter, Ring, Word, letter, pair_word, word_key
-from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
-                     factorize, is_degree, leq, meet, norm, trailing_ones,
-                     vsub)
+from .kgraph import (Coords, Path, StandardKGraph, _path, compose,
+                     degrees_upto, leq, trailing_ones, vadd)
 
 
 class RewriteFault(RuntimeError):
@@ -90,18 +90,15 @@ class TraceStep(NamedTuple):
     produced: tuple[WordMeasure, ...]
 
 
-def _active(x: Letter) -> bool:
-    """Letters that count for entropy/degree/1-level: nonzero non-ghost paths."""
-    return not x.ghost and not x.path.is_vertex
-
-
 def word_measure(w: Word) -> WordMeasure:
+    """The measure; entropy, degree value and 1-level value count only the
+    nonzero non-ghost path letters."""
     entropy = degree_value = one_level_value = ar_value = 0
-    for i, x in enumerate(w):
-        if _active(x):
-            entropy += i + 1
-            degree_value += len(x.path.levels)
-            one_level_value += sum(1 for e in x.path.levels if e == 1)
+    for i, ((r, s, levels), ghost) in enumerate(w, 1):
+        if not ghost and r != s:
+            entropy += i
+            degree_value += len(levels)
+            one_level_value += levels.count(1)
     for x, y in zip(w, w[1:]):
         if canonical.pair_kind(x, y) == "nonrep":
             ar_value += 1
@@ -113,16 +110,11 @@ def _inner(x: Letter) -> Coords:
     return x.path.range if x.ghost else x.path.source
 
 
-def _outer(y: Letter) -> Coords:
-    """The vertex a letter presents to its left neighbour."""
-    return y.path.source if y.ghost else y.path.range
-
-
 def _expansion_bounds(lam: Path, mu: Path) -> tuple[Coords, int]:
     """Both paths end in the all-ones path of degree n exactly when
     0 < n <= d(lam) meet d(mu) and |n| is within the common trailing run of
     1-entries; returns that meet and that run."""
-    return (meet(lam.degree, mu.degree),
+    return (tuple(map(min, lam.degree, mu.degree)),
             min(trailing_ones(lam.levels), trailing_ones(mu.levels)))
 
 
@@ -136,19 +128,21 @@ def valid_expansions(lam: Path, mu: Path) -> list[Coords]:
 def is_valid_expansion(lam: Path, mu: Path, n: Coords) -> bool:
     """n in valid_expansions(lam, mu), decided without listing them."""
     cap, run = _expansion_bounds(lam, mu)
-    return (len(n) == len(cap) and is_degree(n) and 0 < norm(n) <= run
-            and leq(n, cap))
+    return (len(n) == len(cap) and min(n) >= 0 and 0 < sum(n) <= run
+            and all(map(le, n, cap)))
 
 
 def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
     """The rule instance applying to the letter pair at pos, if any."""
-    x, y = w[pos], w[pos + 1]
-    if _inner(x) != _outer(y):
+    (xr, xs, _), x_ghost = x = w[pos]
+    (yr, ys, _), y_ghost = y = w[pos + 1]
+    # the inner vertex of x against the outer vertex of y
+    if (xr if x_ghost else xs) != (ys if y_ghost else yr):
         return RedexMatch(RuleId.R2_ORTHO, pos)
     # same tag, or a vertex on either side (vertex letters are never ghosts)
-    if x.ghost == y.ghost or x.path.is_vertex or y.path.is_vertex:
+    if x_ghost == y_ghost or xr == xs or yr == ys:
         return RedexMatch(RuleId.R1_COMPOSE, pos)
-    if x.ghost:
+    if x_ghost:
         # ghost * path, both of nonzero degree, equal ranges
         return RedexMatch(RuleId.R3_GHOST_PATH, pos)
     # path * ghost, both of nonzero degree, equal sources
@@ -157,9 +151,9 @@ def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
         return None
     if kind == "nonrep":
         return RedexMatch(RuleId.R5_REPRESENTATIVE, pos)
-    dd = meet(x.path.degree, y.path.degree)
-    i = next(j for j, c in enumerate(dd) if c > 0)
-    n = tuple(1 if j == i else 0 for j in range(len(dd)))
+    # R4 at e_i, i the first coordinate where both degrees are positive
+    i = next(j for j, (a, b, s) in enumerate(zip(xr, yr, xs)) if min(a, b) > s)
+    n = (0,) * i + (1,) + (0,) * (len(xs) - i - 1)
     return RedexMatch(RuleId.R4_EXPAND, pos, expand_degree=n)
 
 
@@ -212,16 +206,16 @@ def _rhs_words(graph: StandardKGraph, w: Word, m: RedexMatch) -> list[tuple[Word
         key = canonical.ClassKey(x.path.range, y.path.range,
                                  x.path.levels, y.path.levels)
         return [(pair(*canonical.representative(key)), 1)]
-    # R4: strip the all-ones factor of degree n and expand over the S-set of
-    # the stripped pair, whose first member is the all-ones extension (_s_set
-    # enumerates the shared bottom tuple lexicographically)
+    # R4: strip the all-ones factor of degree n (apply_rule has checked n),
+    # keeping the top factors factorize would split off, and expand over the
+    # S-set of the stripped pair, whose first member is the all-ones
+    # extension (_s_set enumerates the shared bottom tuple lexicographically)
     n = m.expand_degree
-    if n is None or not is_valid_expansion(x.path, y.path, n):
-        raise RewriteFault(f"invalid R4 expansion degree {n}")
-    lam = factorize(x.path, vsub(x.path.degree, n), n)[0]
-    mu = factorize(y.path, vsub(y.path.degree, n), n)[0]
-    ext = graph._s_set(x.path.range, y.path.range, x.path.degree,
-                       y.path.degree, lam.levels, mu.levels)
+    (xr, xs, xlv), (yr, ys, ylv), j = x.path, y.path, sum(n)
+    lam = _path(xr, vadd(xs, n), xlv[:-j])
+    mu = _path(yr, vadd(ys, n), ylv[:-j])
+    ext = graph._s_set(xr, yr, x.path.degree, y.path.degree, lam.levels,
+                       mu.levels)
     return [(pair(lam, mu), 1)] + [(pair(a, b), -1) for a, b in ext[1:]]
 
 
@@ -232,6 +226,12 @@ def apply_rule(graph: StandardKGraph, ring: Ring, w: Word, m: RedexMatch,
     if derived is None or derived.rule is not m.rule:
         raise RewriteFault(
             f"match {m.rule} at pos {m.pos} does not apply to the word")
+    if m != derived:
+        # an R4 degree other than match_at's, which is valid by construction
+        n = m.expand_degree
+        if n is None or not is_valid_expansion(w[m.pos].path,
+                                               w[m.pos + 1].path, n):
+            raise RewriteFault(f"invalid R4 expansion degree {n}")
     measure = measure or word_measure
     before = measure(w)
     rhs = _rhs_words(graph, w, m)
@@ -244,6 +244,22 @@ def apply_rule(graph: StandardKGraph, ring: Ring, w: Word, m: RedexMatch,
 
 
 DEFAULT_STEP_GUARD = 10 ** 6
+
+
+class _Cache(dict):
+    """fn's value per word, computed on the first lookup: cache[w] is fn(w).
+    It is made per normalize call, and costs about a sixth of a
+    functools.cache to make, which counts in check's thousands of tiny
+    normalizations."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, w: Word):
+        value = self[w] = self.fn(w)
+        return value
 
 
 class _Max(NamedTuple):
@@ -262,12 +278,20 @@ def normalize(graph: StandardKGraph, elem: Element, *,
 
     Deterministic strategy: repeatedly rewrite the pending word of largest
     measure (ties broken by the word order) at its leftmost redex, popped
-    from a max-heap with lazy deletion: a word is pushed when it enters
-    pending, and an entry whose word has cancelled away is skipped.  A
-    popped word never returns, as every produced word measures less than
-    its parent.  Each word is measured once.  The system is confluent, so
-    every strategy reaches this normal form; the tests check that against
-    their reference scheduler, which picks words and redexes at random.
+    from a max-heap with lazy deletion.  The input words are pushed.  A
+    produced word that is not pending is first classified by find_redex:
+    an irreducible one goes straight into the result and is never keyed
+    or pushed, and a reducible one is pushed when it enters pending.  An
+    entry whose word has cancelled away is skipped.  A popped word never
+    returns, as every produced word measures less than its parent.
+
+    Each word is classified once and measured once, through per-call
+    caches (_Cache) of find_redex and word_measure.  A popped word's redex
+    is the one found when it was produced, or, for an input word, when it
+    is popped; apply_rule's decrease check and the trace read the same
+    measures.  The system is confluent, so every strategy reaches this
+    normal form; the tests check that against their reference scheduler,
+    which picks words and redexes at random.
 
     Raises TerminationFault if more than step_guard single-word rewrites
     are needed (unreachable for a correct engine).
@@ -275,26 +299,17 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     ring = elem.ring
     pending = dict(elem.terms)
     done: dict[Word, int] = {}
-    keys: dict[Word, tuple[WordMeasure, tuple]] = {}
-
-    def mkey(w: Word) -> tuple[WordMeasure, tuple]:
-        r = keys.get(w)
-        if r is None:
-            r = keys[w] = (word_measure(w), word_key(w))
-        return r
-
-    def measure(w: Word) -> WordMeasure:
-        return mkey(w)[0]
-
+    measure = _Cache(word_measure).__getitem__
+    redex = _Cache(find_redex).__getitem__
     # a sorted list is a heap
-    heap = sorted(_Max(mkey(w), w) for w in pending)
+    heap = sorted(_Max((measure(w), word_key(w)), w) for w in pending)
     steps = 0
     while pending:
         w = heapq.heappop(heap).word
         c = pending.pop(w, None)
         if c is None:
             continue
-        m = find_redex(w)
+        m = redex(w)
         if m is None:
             ring.add_into(done, w, c)
             continue
@@ -306,8 +321,11 @@ def normalize(graph: StandardKGraph, elem: Element, *,
             trace(TraceStep(m.rule, m.pos, measure(w),
                             tuple(measure(w2) for w2 in piece.terms)))
         for w2, c2 in piece.terms.items():
+            if w2 not in pending and redex(w2) is None:
+                ring.add_into(done, w2, c * c2)
+                continue
             size = len(pending)
             ring.add_into(pending, w2, c * c2)
             if len(pending) > size:
-                heapq.heappush(heap, _Max(mkey(w2), w2))
+                heapq.heappush(heap, _Max((measure(w2), word_key(w2)), w2))
     return Element(ring, done)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -371,11 +372,14 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 # --------------------------------------------------------------------------
 
 def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
-    """(family, translates, relation) for every defining-relation shape
-    with at least one translate in the window: the relation anchored at
-    the origin, and per coordinate the range of the t that keep its
-    footprint, from low to high, inside the window.  The instances are
-    relation.translated(t) for t in product(*translates), in this order."""
+    """(family, translates, build) for every defining-relation shape with
+    at least one translate in the window: per coordinate the range of the
+    t that keep its footprint, from low to high, inside the window, and a
+    function of no arguments that builds the relation anchored at the
+    origin.  The instances are build().translated(t) for t in
+    product(*translates), in this order.  Nothing of a relation is built
+    before build is called, so a caller that skips a shape by its
+    translate count pays only for the count."""
     lo, hi = window.lo, window.hi
     degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
     origin = (0,) * graph.k
@@ -389,38 +393,56 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     paths_from = {n: graph.paths(origin, n) for n in degs}
     paths_into = {n: graph.paths(n, n) for n in degs}
 
+    def kp1(d):
+        return _relation(ring, [(o, letter(graph.vertex(d)))],
+                         [] if any(d) else [(o,)])
+
+    def unit_law(p, j):
+        lp, gp = letter(p), letter(p, ghost=True)
+        sv = letter(graph.vertex(p.source))
+        word, unit = (((o, lp), lp), ((lp, sv), lp),
+                      ((sv, gp), gp), ((gp, o), gp))[j]
+        return _relation(ring, [word], [(unit,)])
+
+    def kp3(lam, mu):
+        return _relation(
+            ring, [(letter(lam, True), letter(mu))],
+            [(letter(graph.vertex(lam.source)),)] if lam == mu else [])
+
+    def composition(lam, mu, starred):
+        # lam . mu - (lam mu), or its star mu* . lam* - (lam mu)*
+        word = ((letter(mu, True), letter(lam, True)) if starred
+                else (letter(lam), letter(mu)))
+        return _relation(ring, [word], [(letter(compose(lam, mu), starred),)])
+
+    def kp4(n):
+        return _relation(ring, [(o,)], [pair_word(lam, lam)
+                                        for lam in paths_from[n]])
+
     # KP1 on v = 0 and w = d
     for d in product(*(range(a - b, b - a + 1) for a, b in zip(lo, hi))):
-        yield "KP1", translates(meet(origin, d), join(origin, d)), _relation(
-            ring, [(o, letter(graph.vertex(d)))], [] if any(d) else [(o,)])
+        yield ("KP1", translates(meet(origin, d), join(origin, d)),
+               partial(kp1, d))
 
     # unit laws and KP3: footprint the source -n up to the range 0
     for n in degs:
         if all(ts := translates(vsub(origin, n), origin)):
             for p in paths_from[n]:
-                lp, gp = letter(p), letter(p, ghost=True)
-                sv = letter(graph.vertex(p.source))
-                for word, unit in (((o, lp), lp), ((lp, sv), lp),
-                                   ((sv, gp), gp), ((gp, o), gp)):
-                    yield "KP2", ts, _relation(ring, [word], [(unit,)])
+                for j in range(4):
+                    yield "KP2", ts, partial(unit_law, p, j)
             for lam, mu in product(paths_from[n], repeat=2):
-                yield "KP3", ts, _relation(
-                    ring, [(letter(lam, True), letter(mu))],
-                    [(letter(graph.vertex(lam.source)),)] if lam == mu else [])
+                yield "KP3", ts, partial(kp3, lam, mu)
 
     # compositions: footprint mu's source -n2 up to lam's range n1
     for n1, n2 in product(degs, repeat=2):
         if all(ts := translates(vsub(origin, n2), n1)):
             for lam, mu in product(paths_into[n1], paths_from[n2]):
-                rel = _relation(ring, [(letter(lam), letter(mu))],
-                                [(letter(compose(lam, mu)),)])
-                yield "KP2", ts, rel
-                yield "KP2", ts, rel.star()
+                yield "KP2", ts, partial(composition, lam, mu, False)
+                yield "KP2", ts, partial(composition, lam, mu, True)
 
     # KP4: footprint 0 only, since its paths leave the window
     for n in degs:
-        yield "KP4", translates(origin, origin), _relation(ring, [(o,)], [
-            pair_word(lam, lam) for lam in paths_from[n]])
+        yield "KP4", translates(origin, origin), partial(kp4, n)
 
 
 def check_kp_relations(graph: StandardKGraph,
@@ -438,15 +460,17 @@ def check_kp_relations(graph: StandardKGraph,
     them, are added to the cases.  Only when a shape fails is each of its
     translates built and normalized, so failure indices and inputs are
     exact.  With case_index the shapes before the one holding that number
-    are skipped by their translate counts, unnormalized, and only the
-    instance of that number is built and normalized."""
+    are skipped by their translate counts, their relations neither built
+    nor normalized, and only the instance of that number is built and
+    normalized."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
     start = time.perf_counter()
     cases, failures = 0, []
-    for family, ts, relation in _kp_shapes(graph, window, ring):
+    for family, ts, build in _kp_shapes(graph, window, ring):
         count = prod(map(len, ts))
         if case_index is None:
+            relation = build()
             if not normalize(graph, relation).is_zero():
                 failures += _report("kp", 0, graph, (
                     (cases + j, "exhaustive", [(family, relation.translated(t))])
@@ -458,7 +482,7 @@ def check_kp_relations(graph: StandardKGraph,
                 j, digit = divmod(j, len(r))
                 t.insert(0, r[digit])
             return _report("kp", 0, graph, [
-                (case_index, "exhaustive", [(family, relation.translated(t))])])
+                (case_index, "exhaustive", [(family, build().translated(t))])])
         cases += count
     _indices("kp", cases, case_index)  # raises if case_index was not found
     return CheckReport("kp", cases, 0, failures, time.perf_counter() - start)

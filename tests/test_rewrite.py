@@ -168,6 +168,9 @@ def test_normalize_raises_ordering_violation(monkeypatch):
 
 
 def test_normalize_measures_each_word_once(monkeypatch):
+    """Each distinct word is measured once and classified by find_redex
+    once, and only the words that enter the heap are keyed: on the ladder
+    that is the input word alone, as its 256 products are irreducible."""
     from collections import Counter
 
     d = 8
@@ -178,17 +181,28 @@ def test_normalize_measures_each_word_once(monkeypatch):
     kp4 = elem(letter(vertex(v))) - Element.from_terms(
         ZZ, [((letter(p), letter(p, ghost=True)), 1)
              for p in g23.paths(v, (2, 2))])
-    real, measured = rewrite.word_measure, Counter()
+    calls = {name: Counter()
+             for name in ("word_measure", "find_redex", "word_key")}
 
-    def spy(w):
-        measured[w] += 1
-        return real(w)
+    def spy(name):
+        real = getattr(rewrite, name)
 
-    monkeypatch.setattr(rewrite, "word_measure", spy)
-    for graph, x, size in ((G22, ladder, 2 ** d), (g23, kp4, 0)):
-        measured.clear()
+        def counted(w):
+            calls[name][w] += 1
+            return real(w)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(rewrite, name, spy(name))
+    for graph, x, size, keyed in ((G22, ladder, 2 ** d, 1),
+                                  (g23, kp4, 0, None)):
+        for counter in calls.values():
+            counter.clear()
         assert len(normalize(graph, x).terms) == size
-        assert measured and set(measured.values()) == {1}
+        assert set(calls["word_measure"].values()) == {1}
+        assert set(calls["find_redex"].values()) == {1}
+        if keyed is not None:
+            assert sum(calls["word_key"].values()) == keyed
 
 
 def test_normalize_spec_examples():
