@@ -13,7 +13,8 @@ Exit status: 0 on success or passing checks, 1 on check failure, 2 on
 usage errors (including malformed elements, unreadable element files and a
 --case-index that names no case of the run), 141 (128 + SIGPIPE) when the
 reader closes stdout early.
-Integer flags take ASCII digits only, as the element grammar does.
+Integer flags and the zmod:N modulus take ASCII digits only, as the
+element grammar does.
 Output is byte-reproducible from flags and seed; no environment variables
 are consulted.
 
@@ -33,7 +34,7 @@ import sys
 from . import verify
 from .algebra import Window, enumerate_basis, kp_mul, kp_star
 from .freealg import Element, ring_from_spec
-from .kgraph import KGraphError, StandardKGraph
+from .kgraph import KGraphError, StandardKGraph, ascii_int
 from .rewrite import TraceStep, normalize
 from .syntax import (ElementSyntaxError, exact_decimal, format_element,
                      format_letter, format_word, parse_element)
@@ -44,18 +45,6 @@ class UsageError(Exception):
 
 
 _RANGE_RE = re.compile(r"^(-?[0-9]+)\.\.(-?[0-9]+)$")
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
-def _ascii_int(text: str) -> int:
-    """int() without the non-ASCII digits and '_' separators that it also
-    reads; ValueError for those."""
-    if not _INT_RE.fullmatch(text):
-        raise ValueError(f"invalid literal for int(): {text!r}")
-    return int(text)
-
-
-_ascii_int.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
 
 
 def _parse_window(text: str, k: int, degree_bound: int) -> Window:
@@ -84,7 +73,7 @@ def _parse_window(text: str, k: int, degree_bound: int) -> Window:
 
 def _parse_coords_flag(text: str, k: int, flag: str) -> tuple[int, ...]:
     try:
-        coords = tuple(_ascii_int(x) for x in text.split(","))
+        coords = tuple(ascii_int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers") from None
     if len(coords) != k:
@@ -126,9 +115,9 @@ def _print_element(elem: Element, fmt: str) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_ascii_int, required=True,
+    parser.add_argument("--k", type=ascii_int, required=True,
                         help="rank of the lattice (no default)")
-    parser.add_argument("--level", type=_ascii_int, required=True,
+    parser.add_argument("--level", type=ascii_int, required=True,
                         help="level of the standard k-graph (no default)")
     parser.add_argument("--ring", default="int",
                         help="coefficient ring: int or zmod:N (default int)")
@@ -166,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="-2..2",
                    help="vertex box lo..hi, uniform or per-coordinate "
                         "(default -2..2)")
-    p.add_argument("--degree-bound", type=_ascii_int, default=2,
+    p.add_argument("--degree-bound", type=ascii_int, default=2,
                    help="max |degree| of enumerated paths (default 2)")
     p.add_argument("--shape", default="all",
                    choices=("all", "vertex", "path", "ghost", "pair"))
@@ -179,16 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("which", choices=("lemma3", "lemma8", "lemma12", "lemma13",
                                      "confluence", "kp", "all"))
-    p.add_argument("--seed", type=_ascii_int, default=0,
+    p.add_argument("--seed", type=ascii_int, default=0,
                    help="base seed (default 0)")
-    p.add_argument("--cases", type=_ascii_int, default=100,
+    p.add_argument("--cases", type=ascii_int, default=100,
                    help="cases per randomized check (default 100)")
     p.add_argument("--window", default="-3..3",
                    help="sampling window (default -3..3)")
-    p.add_argument("--degree-bound", type=_ascii_int, default=3,
+    p.add_argument("--degree-bound", type=ascii_int, default=3,
                    help="sampling degree bound (default 3); kp caps "
                         "path degrees at min(bound, 2)")
-    p.add_argument("--case-index", type=_ascii_int, default=None,
+    p.add_argument("--case-index", type=ascii_int, default=None,
                    help="run only the case with this index, which must be "
                         "a case of the run (for reproduction)")
     return top

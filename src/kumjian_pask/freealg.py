@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .kgraph import Coords, Path, _path, vadd
+from .kgraph import Coords, Path, _path, ascii_int, vadd
 
 
 class RingMismatchError(ValueError):
@@ -92,7 +92,7 @@ def ring_from_spec(spec: str) -> Ring:
         return IntegerRing()
     if spec.startswith("zmod:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            n = ascii_int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad modulus in ring selector {spec!r}") from None
         return ModularRing(n)

@@ -27,6 +27,18 @@ from operator import add, le, sub
 Coords = tuple[int, ...]
 
 
+def ascii_int(text: str) -> int:
+    """int() without the non-ASCII digits and '_' separators that it also
+    reads; ValueError for those."""
+    digits = text.strip().lstrip("+-")  # int() refuses a second sign
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+ascii_int.__name__ = "int"  # as a CLI type: "invalid int value: 'x'"
+
+
 class KGraphError(ValueError):
     """Structural misuse of a lattice or path operation."""
 

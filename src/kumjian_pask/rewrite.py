@@ -33,11 +33,10 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from operator import le
 from typing import Callable, NamedTuple, Optional
 
 from . import canonical
-from .freealg import Element, Letter, Ring, Word, letter, pair_word, word_key
+from .freealg import Element, Ring, Word, letter, pair_word, word_key
 from .kgraph import (Coords, Path, StandardKGraph, _path, compose,
                      degrees_upto, leq, trailing_ones, vadd)
 
@@ -105,31 +104,13 @@ def word_measure(w: Word) -> WordMeasure:
     return WordMeasure(len(w), entropy, degree_value, one_level_value, ar_value)
 
 
-def _inner(x: Letter) -> Coords:
-    """The vertex a letter presents to its right neighbour."""
-    return x.path.range if x.ghost else x.path.source
-
-
-def _expansion_bounds(lam: Path, mu: Path) -> tuple[Coords, int]:
-    """Both paths end in the all-ones path of degree n exactly when
-    0 < n <= d(lam) meet d(mu) and |n| is within the common trailing run of
-    1-entries; returns that meet and that run."""
-    return (tuple(map(min, lam.degree, mu.degree)),
-            min(trailing_ones(lam.levels), trailing_ones(mu.levels)))
-
-
 def valid_expansions(lam: Path, mu: Path) -> list[Coords]:
     """All degrees n for which both paths end in the all-ones path of
-    degree n, ordered by (|n|, n)."""
-    cap, run = _expansion_bounds(lam, mu)
+    degree n, ordered by (|n|, n): 0 < n <= d(lam) meet d(mu), with |n|
+    within the common trailing run of 1-entries."""
+    cap = tuple(map(min, lam.degree, mu.degree))
+    run = min(trailing_ones(lam.levels), trailing_ones(mu.levels))
     return [n for n in degrees_upto(len(cap), run, 1) if leq(n, cap)]
-
-
-def is_valid_expansion(lam: Path, mu: Path, n: Coords) -> bool:
-    """n in valid_expansions(lam, mu), decided without listing them."""
-    cap, run = _expansion_bounds(lam, mu)
-    return (len(n) == len(cap) and min(n) >= 0 and 0 < sum(n) <= run
-            and all(map(le, n, cap)))
 
 
 def match_at(w: Word, pos: int) -> Optional[RedexMatch]:
@@ -226,12 +207,10 @@ def apply_rule(graph: StandardKGraph, ring: Ring, w: Word, m: RedexMatch,
     if derived is None or derived.rule is not m.rule:
         raise RewriteFault(
             f"match {m.rule} at pos {m.pos} does not apply to the word")
-    if m != derived:
-        # an R4 degree other than match_at's, which is valid by construction
-        n = m.expand_degree
-        if n is None or not is_valid_expansion(w[m.pos].path,
-                                               w[m.pos + 1].path, n):
-            raise RewriteFault(f"invalid R4 expansion degree {n}")
+    # match_at's own R4 degree is valid by construction; another is checked
+    if m != derived and m.expand_degree not in valid_expansions(
+            w[m.pos].path, w[m.pos + 1].path):
+        raise RewriteFault(f"invalid R4 expansion degree {m.expand_degree}")
     measure = measure or word_measure
     before = measure(w)
     rhs = _rhs_words(graph, w, m)

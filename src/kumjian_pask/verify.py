@@ -6,33 +6,28 @@ coefficient +1 and those of the other with -1, that must normalize to 0.
 normalize rewrites each word on its own and merges coefficients linearly,
 so NF(lhs - rhs) = 0 exactly when NF(lhs) = NF(rhs).  No sampler draws a
 relation that is 0 before rewriting, except lemma8 on k = 1 or level 1.
+Element equality is exact; there are no tolerances.
 
-Each check runs seeded cases; a case derives its own RNG from the string
-"<seed>:<name>:<index>" so any failure is reproducible from the report
-alone.  Element equality is exact; there are no tolerances.  A run's
-cases are numbered from 0, and a case_index reruns one of them; an index
-the run does not have, including any index of a check with nothing to
-sample, raises CaseIndexError from every check alike (_indices).
+One runner, _decide, decides every check.  A check is a sequence of units;
+a unit stands for count cases that one set of (label, relation) pairs
+decides at once, and the cases are numbered from 0, unit by unit.  A unit
+that fails is decided case by case, so failure indices and inputs are
+exact.  A case_index reruns one case: the units before it are skipped by
+their counts, nothing of them built or drawn, and an index that no unit
+holds, including any index of a check with nothing to sample, raises
+CaseIndexError.  A randomized sampler makes one unit per case, drawn from
+its own RNG seeded by "<seed>:<name>:<index>", so any failure is
+reproducible from the report alone.  check_kp_relations is exhaustive over
+a window (no randomness): its units are the shapes of _kp_shapes, each a
+family's relation anchored at the origin, whose cases are its translates
+in the window.  Translating by any t in Z^k is an automorphism of the
+standard k-graph, and NF(x + t) = NF(x) + t (the equivariance property in
+the tests), so a shape decides all its translates at once.
 
-check_kp_relations is exhaustive over a window (no randomness); the other
-checks are randomized samplers.  Confluence is sampled by critical pairs:
-each case draws a chained 3-letter word until rewrite.all_redexes finds at
-least two competing rule instances on it; applying each instance (every R4
-expansion degree included) gives a branch, and branch - word is a relation.
-
-check_kp_relations enumerates shapes, not instances.  Translating by any t
-in Z^k is an automorphism of the standard k-graph, and NF(x + t) =
-NF(x) + t (the equivariance property in the tests), so every instance is
-a translate of a shape: its family's relation anchored at the origin.  A
-shape's footprint is the box of vertices an instance must keep in the
-window, and its translates are the t, one range per coordinate, that do.
-_kp_shapes is the only enumeration of the relations: instance i is a
-translate of one shape, numbered shape by shape and, within a shape, by t
-in lexicographic order.  Each shape is normalized once and counts its
-translates as cases; translates are built only to run one of them
-(case_index, found by skipping whole shapes by their translate counts) or
-to name the failing ones after their shape fails.  The sampled checks
-normalize every relation.
+Confluence is sampled by critical pairs: each case draws a chained
+3-letter word until all_redexes finds at least two competing rule
+instances on it; applying each instance (every R4 expansion degree
+included) gives a branch, and branch - word is a relation.
 """
 
 from __future__ import annotations
@@ -45,10 +40,11 @@ from itertools import product
 from math import prod
 
 from . import canonical
-from .freealg import Element, IntegerRing, Ring, Word, letter, pair_word
+from .freealg import (Element, IntegerRing, Letter, Ring, Word, letter,
+                      pair_word)
 from .kgraph import (Coords, Path, StandardKGraph, compose, degrees_upto,
                      join, leq, meet, norm, vadd, vsub)
-from .rewrite import _inner, all_redexes, apply_rule, normalize
+from .rewrite import all_redexes, apply_rule, normalize
 from .algebra import Window, uniform_window
 from .syntax import format_element
 
@@ -135,50 +131,73 @@ def _relation(ring: Ring, plus: list[Word], minus: list[Word]) -> Element:
                                      *((w, -1) for w in minus)])
 
 
-def _report(name, seed, graph, cases) -> CheckReport:
-    """The report over (index, case seed, relations) triples, where
-    relations yields (label, relation) pairs; a case fails at its first
-    relation that does not normalize to 0.  Cases are run as the triples
-    are drawn, so elapsed covers them."""
-    report = CheckReport(name=name, cases=0, seed=seed)
-    start = time.perf_counter()
-    for index, case_seed, relations in cases:
-        report.cases += 1
-        for label, relation in relations:
-            result = normalize(graph, relation)
-            if not result.is_zero():
-                report.failures.append(CaseFailure(
-                    index, case_seed, format_element(relation),
-                    f"{label} normal form {format_element(result)} is not 0"))
-                break
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
 class CaseIndexError(ValueError):
     """A case index that names no case of the run."""
 
 
-def _indices(name: str, cases: int, case_index: int | None) -> range:
-    """The indices of a run of that many cases: all of them, or case_index
-    alone; raises CaseIndexError if the run has no case at case_index."""
-    if case_index is None:
-        return range(cases)
-    if not 0 <= case_index < cases:
-        raise CaseIndexError(f"case index {case_index} names no case of "
-                             f"this {name} run")
-    return range(case_index, case_index + 1)
+def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
+    """The report over units, (count, case seed, pairs, move) tuples.  A
+    unit's count cases are numbered on from the unit before; pairs() gives
+    the (label, relation) pairs that decide them all at once, and
+    move(relation, j) moves one of those relations to case j.  A unit
+    without move has one case, whose pairs are the unit's.  A case fails
+    at its first relation that does not normalize to 0; a unit that fails
+    is decided case by case.  With case_index the units before the one
+    holding it are skipped by their counts and only that case is
+    decided."""
+    report = CheckReport(name, 0, seed)
+    start = time.perf_counter()
+
+    def passes(pairs, index=None, case_seed=None):
+        """Whether every relation of pairs normalizes to 0; the first that
+        does not is recorded as case index's failure, if index is given."""
+        for label, relation in pairs:
+            result = normalize(graph, relation)
+            if not result.is_zero():
+                if index is not None:
+                    report.failures.append(CaseFailure(
+                        index, case_seed, format_element(relation),
+                        f"{label} normal form {format_element(result)} "
+                        f"is not 0"))
+                return False
+        return True
+
+    for count, case_seed, pairs, move in units:
+        first = report.cases
+        report.cases += count
+        if case_index is None:
+            shared = pairs()
+            if move is not None and passes(shared):
+                continue
+            js = range(count)
+        elif first <= case_index < report.cases:
+            report.cases, shared, js = 1, pairs(), [case_index - first]
+        else:
+            continue
+        for j in js:
+            passes(shared if move is None else
+                   [(label, move(relation, j)) for label, relation in shared],
+                   first + j, case_seed)
+        if case_index is not None:
+            break
+    else:
+        if case_index is not None:
+            raise CaseIndexError(f"case index {case_index} names no case "
+                                 f"of this {name} run")
+    report.elapsed = time.perf_counter() - start
+    return report
 
 
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
-    """Run body(rng, graph, window, ring) for each case; it returns an
+    """Decide one unit per case: body(rng, graph, window, ring), called
+    with the case's own RNG only when the case is decided, returns an
     iterable of the case's (label, relation) pairs."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    return _report(name, seed, graph, (
-        (i, f"{seed}:{name}:{i}",
-         body(_case_rng(seed, name, i), graph, window, ring))
-        for i in _indices(name, cases, case_index)))
+    return _decide(name, seed, graph, (
+        (1, f"{seed}:{name}:{i}",
+         lambda i=i: body(_case_rng(seed, name, i), graph, window, ring), None)
+        for i in range(cases)), case_index)
 
 
 def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
@@ -328,6 +347,11 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
 # Confluence sampling
 # --------------------------------------------------------------------------
 
+def _inner(x: Letter) -> Coords:
+    """The vertex a letter presents to its right neighbour."""
+    return x.path.range if x.ghost else x.path.source
+
+
 def _overlap_word(rng: random.Random, graph: StandardKGraph,
                   window: Window) -> Word:
     """A 3-letter word with at least two redexes.  Each letter is chained to
@@ -445,6 +469,16 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
         yield "KP4", translates(origin, origin), partial(kp4, n)
 
 
+def _translate(ts, relation: Element, j: int) -> Element:
+    """relation moved by the j-th t of product(*ts): t's digits are j's in
+    the mixed radix of the ranges."""
+    t = []
+    for r in reversed(ts):
+        j, digit = divmod(j, len(r))
+        t.insert(0, r[digit])
+    return relation.translated(t)
+
+
 def check_kp_relations(graph: StandardKGraph,
                        window: Window | None = None,
                        ring: Ring | None = None,
@@ -454,38 +488,16 @@ def check_kp_relations(graph: StandardKGraph,
     same-degree ghost products, and the vertex expansion identity with
     |n| <= 2.  Path degrees are capped at |d| <= 2.
 
-    The instances are numbered shape by shape, in _kp_shapes order, and
-    within a shape by translate t in lexicographic order.  Each shape is
-    normalized once and its translates, prod(map(len, translates)) of
-    them, are added to the cases.  Only when a shape fails is each of its
-    translates built and normalized, so failure indices and inputs are
-    exact.  With case_index the shapes before the one holding that number
-    are skipped by their translate counts, their relations neither built
-    nor normalized, and only the instance of that number is built and
-    normalized."""
+    Each shape of _kp_shapes, in order, is a unit of prod(map(len,
+    translates)) cases: its relation decides them all, and its case j is
+    the relation moved by the j-th translate t in lexicographic order."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    start = time.perf_counter()
-    cases, failures = 0, []
-    for family, ts, build in _kp_shapes(graph, window, ring):
-        count = prod(map(len, ts))
-        if case_index is None:
-            relation = build()
-            if not normalize(graph, relation).is_zero():
-                failures += _report("kp", 0, graph, (
-                    (cases + j, "exhaustive", [(family, relation.translated(t))])
-                    for j, t in enumerate(product(*ts)))).failures
-        elif cases <= case_index < cases + count:
-            # the translate's digits in the mixed radix of its ranges
-            j, t = case_index - cases, []
-            for r in reversed(ts):
-                j, digit = divmod(j, len(r))
-                t.insert(0, r[digit])
-            return _report("kp", 0, graph, [
-                (case_index, "exhaustive", [(family, build().translated(t))])])
-        cases += count
-    _indices("kp", cases, case_index)  # raises if case_index was not found
-    return CheckReport("kp", cases, 0, failures, time.perf_counter() - start)
+    return _decide("kp", 0, graph, (
+        (prod(map(len, ts)), "exhaustive",
+         lambda family=family, build=build: [(family, build())],
+         partial(_translate, ts))
+        for family, ts, build in _kp_shapes(graph, window, ring)), case_index)
 
 
 CHECKS = {

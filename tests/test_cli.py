@@ -374,6 +374,11 @@ def test_non_ascii_digits_are_usage_errors(capsys):
         code, out, err = run_cli(capsys, *command, flag, value)
         assert code == 2 and out == "", (flag, value)
         assert flag in err or "bad window range" in err, err
+    # the --ring modulus reads integers the same way
+    for spec in ("zmod:٥", "zmod:1_0"):
+        code, out, err = run_cli(capsys, "normalize", *common, "--ring", spec,
+                                 "v(0)")
+        assert code == 2 and out == "" and "bad modulus" in err, spec
 
 
 def test_huge_coefficients_print_exactly(capsys):

@@ -13,8 +13,8 @@ from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
 from kumjian_pask.rewrite import (OrderingViolation, RedexMatch,
                                   RewriteFault, RuleId, TerminationFault,
                                   all_redexes, apply_rule, find_redex,
-                                  is_valid_expansion, match_at, normalize,
-                                  valid_expansions, word_measure)
+                                  match_at, normalize, valid_expansions,
+                                  word_measure)
 from reference import reference_normalize
 
 ZZ = IntegerRing()
@@ -355,8 +355,8 @@ def test_valid_expansions_oracle():
 
 
 def test_is_valid_expansion_matches_the_list():
-    """R4 checks its degree with is_valid_expansion; it must accept exactly
-    the degrees valid_expansions lists, and apply_rule must refuse others."""
+    """apply_rule checks an R4 degree against valid_expansions; it must
+    refuse every degree that valid_expansions does not list."""
     rng = random.Random("expansion-check")
     checked = 0
     for _ in range(200):
@@ -370,8 +370,6 @@ def test_is_valid_expansion_matches_the_list():
         got = valid_expansions(lam, mu)
         candidates = degrees_upto(graph.k, 4) + [
             (-1,) + (1,) * graph.k, (-1,) + (2,) * (graph.k - 1), (1,) * 3]
-        for n in candidates:
-            assert is_valid_expansion(lam, mu, n) == (n in got)
         word = (letter(lam), letter(mu, ghost=True))
         if getattr(find_redex(word), "rule", None) is RuleId.R4_EXPAND:
             for n in candidates:

@@ -1,6 +1,8 @@
 """The verification suites themselves: pass on defaults, reproduce from
 seeds, and report failures faithfully."""
 
+from functools import partial
+
 import pytest
 from reference import reference_kp_instances
 
@@ -506,3 +508,29 @@ def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
     for f in report.failures[::10] + report.failures[-1:]:
         assert check_kp_relations(graph, window,
                                   case_index=f.index).failures == [f]
+
+
+@pytest.mark.parametrize("name", [*CHECKS, "kp"])
+def test_every_failure_reruns_alone(monkeypatch, name):
+    """With an engine that leaves a relation unreduced by a coin flip
+    seeded with its text, some cases of every check fail and others pass.
+    Each failure's index reruns that failure alone."""
+    import random
+
+    from kumjian_pask import verify
+    from kumjian_pask.syntax import format_element
+
+    real = verify.normalize
+    monkeypatch.setattr(verify, "normalize", lambda graph, elem: (
+        elem if random.Random(format_element(elem)).random() < 0.5
+        else real(graph, elem)))
+    graph = StandardKGraph(2, 2)
+    if name == "kp":
+        window = uniform_window(2, -1, 1, 2)
+        check = partial(check_kp_relations, graph, window)
+    else:
+        check = partial(CHECKS[name], graph, 7, 40)
+    report = check()
+    assert 0 < len(report.failures) < report.cases
+    for f in report.failures:
+        assert check(case_index=f.index).failures == [f]
