@@ -16,15 +16,14 @@ from .freealg import (Element, IntegerRing, Letter, ModularRing, Ring,
                       RingMismatchError, Word, letter, ring_from_spec,
                       word_star)
 from .canonical import (ClassKey, PairError, UnrealizableKeyError, class_key,
-                        equivalent, in_A, in_R, member_sources,
-                        representative)
+                        in_A, in_R, member_sources, representative)
 from .rewrite import (OrderingViolation, RedexMatch, RuleId, TerminationFault,
                       TraceStep, WordMeasure, all_redexes, apply_rule,
                       find_redex, normalize, word_measure)
-from .algebra import (Window, basis_shape, enumerate_basis, is_basis_word,
-                      kp_mul, kp_star, uniform_window)
+from .algebra import (Window, basis_shape, enumerate_basis, kp_mul, kp_star,
+                      uniform_window)
 from .syntax import (ElementSyntaxError, format_element, format_word,
-                     parse_element, parse_word)
+                     parse_element)
 from .verify import (CheckReport, check_confluence, check_kp_relations,
                      check_lemma3, check_lemma8, check_lemma12, check_lemma13,
                      run_all)

@@ -93,10 +93,6 @@ def basis_shape(w: Word) -> str | None:
     return None
 
 
-def is_basis_word(w: Word) -> bool:
-    return basis_shape(w) is not None
-
-
 SHAPES = ("vertex", "path", "ghost", "pair")
 
 

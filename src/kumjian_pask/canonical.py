@@ -137,8 +137,3 @@ def pair_kind(x: Letter, y: Letter) -> str | None:
     if c != s and lam_lv[-1] == 1 and mu_lv[-1] == 1:
         return "unreduced"
     return "representative" if c[:-1] == s[:-1] else "nonrep"
-
-
-def equivalent(a: PathPair, b: PathPair) -> bool:
-    """Class equality of two reduced pairs."""
-    return class_key(*a) == class_key(*b)

@@ -258,9 +258,10 @@ def _run(args: argparse.Namespace) -> int:
                 print(line)
             for f in r.failures:
                 print(f"repro: kpalg check {r.name} --k {args.k} "
-                      f"--level {args.level} --seed {args.seed} "
-                      f"--cases {args.cases} --case-index {f.index} "
-                      f"--window {args.window} "
+                      f"--level {args.level} --ring {ring.name} "
+                      f"--seed {args.seed} --cases {args.cases} "
+                      f"--case-index {f.index} "
+                      f"--window {''.join(args.window.split())} "
                       f"--degree-bound {args.degree_bound}")
     return 0 if all(r.passed for r in reports) else 1
 

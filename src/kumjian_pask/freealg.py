@@ -27,23 +27,12 @@ class RingMismatchError(ValueError):
 class Ring:
     """Commutative ring with 1 on int values: the integers when modulus is 0,
     the integers mod modulus otherwise.  Every operation is the plain integer
-    one followed by the same reduction, from_int."""
+    one followed by from_int, a ring homomorphism from Z."""
 
-    zero = 0
-    one = 1
     modulus = 0
 
     def from_int(self, n: int) -> int:
         return n % self.modulus if self.modulus else n
-
-    def add(self, a: int, b: int) -> int:
-        return self.from_int(a + b)
-
-    def neg(self, a: int) -> int:
-        return self.from_int(-a)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.from_int(a * b)
 
     def add_into(self, acc: dict, key, c: int) -> None:
         """acc[key] += c, reduced; the entry is dropped when it becomes zero.
@@ -116,10 +105,6 @@ class Letter(namedtuple("Letter", "path ghost")):
         if ghost and path.is_vertex:
             raise ValueError("vertices are self-adjoint; use ghost=False")
         return tuple.__new__(cls, (path, ghost))
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.path.is_vertex
 
 
 def letter(path: Path, ghost: bool = False) -> Letter:
@@ -210,14 +195,11 @@ class Element:
 
     def __neg__(self) -> "Element":
         ring = self.ring
-        return Element(ring, {w: ring.neg(c) for w, c in self.terms.items()})
+        return Element(ring,
+                       {w: ring.from_int(-c) for w, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
-
-    def scaled(self, coeff: int) -> "Element":
-        return Element.from_terms(
-            self.ring, ((w, coeff * c) for w, c in self.terms.items()))
 
     def __mul__(self, other: "Element") -> "Element":
         """Free product: bilinear extension of word concatenation."""

@@ -146,13 +146,6 @@ def _parse_word(text: str, pos: int,
         pos += 1
 
 
-def parse_word(text: str, graph: StandardKGraph) -> Word:
-    w, pos = _parse_word(text, 0, graph)
-    if pos < len(text):
-        raise ElementSyntaxError(pos, "trailing input after word")
-    return w
-
-
 def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
     """Parse the shared element grammar; '0' denotes the zero element."""
     pos = _SPACE.match(text).end()

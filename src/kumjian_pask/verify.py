@@ -8,21 +8,21 @@ so NF(lhs - rhs) = 0 exactly when NF(lhs) = NF(rhs).  No sampler draws a
 relation that is 0 before rewriting, except lemma8 on k = 1 or level 1.
 Element equality is exact; there are no tolerances.
 
-One runner, _decide, decides every check.  A check is a sequence of units;
-a unit stands for count cases that one set of (label, relation) pairs
-decides at once, and the cases are numbered from 0, unit by unit.  A unit
-that fails is decided case by case, so failure indices and inputs are
-exact.  A case_index reruns one case: the units before it are skipped by
-their counts, nothing of them built or drawn, and an index that no unit
-holds, including any index of a check with nothing to sample, raises
-CaseIndexError.  A randomized sampler makes one unit per case, drawn from
-its own RNG seeded by "<seed>:<name>:<index>", so any failure is
-reproducible from the report alone.  check_kp_relations is exhaustive over
-a window (no randomness): its units are the shapes of _kp_shapes, each a
-family's relation anchored at the origin, whose cases are its translates
-in the window.  Translating by any t in Z^k is an automorphism of the
-standard k-graph, and NF(x + t) = NF(x) + t (the equivariance property in
-the tests), so a shape decides all its translates at once.
+One runner, _decide, decides every check.  A check is a sequence of units
+(count, shared, case), whose cases are numbered from 0 unit by unit.
+shared() gives the (label, relation) pairs that decide all count cases at
+once, or shared is None; case(pairs, j) gives case j's seed and pairs.  A
+unit without shared pairs, or whose shared pairs fail, is decided case by
+case, so failure indices and inputs are exact.  A case_index reruns one
+case, found from the counts with nothing else built or drawn; an index that
+no unit holds raises CaseIndexError.  A randomized sampler is one unit, its
+case j drawn from its own RNG seeded by "<seed>:<name>:<j>", so any failure
+is reproducible from the report alone.  check_kp_relations is exhaustive
+over a window: its units are the shapes of _kp_shapes, each a family's
+relation anchored at the origin, whose cases are its translates in the
+window.  Translating by any t in Z^k is an automorphism of the standard
+k-graph, and NF(x + t) = NF(x) + t (the equivariance property in the
+tests), so a shape decides all its translates at once.
 
 Confluence is sampled by critical pairs: each case draws a chained
 3-letter word until all_redexes finds at least two competing rule
@@ -136,13 +136,13 @@ class CaseIndexError(ValueError):
 
 
 def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
-    """The report over units, (count, case seed, pairs, move) tuples.  A
-    unit's count cases are numbered on from the unit before; pairs() gives
-    the (label, relation) pairs that decide them all at once, and
-    move(relation, j) moves one of those relations to case j.  A unit
-    without move has one case, whose pairs are the unit's.  A case fails
-    at its first relation that does not normalize to 0; a unit that fails
-    is decided case by case.  With case_index the units before the one
+    """The report over units, (count, shared, case) tuples.  A unit's count
+    cases are numbered on from the unit before.  shared() gives the (label,
+    relation) pairs that decide them all at once, or shared is None;
+    case(pairs, j), given those pairs or None, gives case j's seed and its
+    own pairs.  A case fails at its first relation that does not normalize
+    to 0; a unit without shared pairs, or whose shared pairs fail, is
+    decided case by case.  With case_index the units before the one
     holding it are skipped by their counts and only that case is
     decided."""
     report = CheckReport(name, 0, seed)
@@ -162,22 +162,21 @@ def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
                 return False
         return True
 
-    for count, case_seed, pairs, move in units:
+    for count, shared, case in units:
         first = report.cases
         report.cases += count
         if case_index is None:
-            shared = pairs()
-            if move is not None and passes(shared):
-                continue
             js = range(count)
         elif first <= case_index < report.cases:
-            report.cases, shared, js = 1, pairs(), [case_index - first]
+            report.cases, js = 1, [case_index - first]
         else:
             continue
+        pairs = None if shared is None else shared()
+        if case_index is None and pairs is not None and passes(pairs):
+            continue
         for j in js:
-            passes(shared if move is None else
-                   [(label, move(relation, j)) for label, relation in shared],
-                   first + j, case_seed)
+            case_seed, case_pairs = case(pairs, j)
+            passes(case_pairs, first + j, case_seed)
         if case_index is not None:
             break
     else:
@@ -189,15 +188,17 @@ def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
 
 
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
-    """Decide one unit per case: body(rng, graph, window, ring), called
-    with the case's own RNG only when the case is decided, returns an
-    iterable of the case's (label, relation) pairs."""
+    """Decide one unit of cases that share nothing: body(rng, graph,
+    window, ring), called with case j's own RNG only when case j is
+    decided, returns an iterable of the case's (label, relation) pairs."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    return _decide(name, seed, graph, (
-        (1, f"{seed}:{name}:{i}",
-         lambda i=i: body(_case_rng(seed, name, i), graph, window, ring), None)
-        for i in range(cases)), case_index)
+
+    def case(_, j):
+        return (f"{seed}:{name}:{j}",
+                body(_case_rng(seed, name, j), graph, window, ring))
+
+    return _decide(name, seed, graph, [(cases, None, case)], case_index)
 
 
 def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
@@ -469,14 +470,15 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
         yield "KP4", translates(origin, origin), partial(kp4, n)
 
 
-def _translate(ts, relation: Element, j: int) -> Element:
-    """relation moved by the j-th t of product(*ts): t's digits are j's in
-    the mixed radix of the ranges."""
+def _translate(ts, pairs, j: int):
+    """Case j of a kp shape: its pairs moved by the j-th t of product(*ts),
+    whose digits are j's in the mixed radix of the ranges."""
     t = []
     for r in reversed(ts):
         j, digit = divmod(j, len(r))
         t.insert(0, r[digit])
-    return relation.translated(t)
+    return "exhaustive", [(label, relation.translated(t))
+                          for label, relation in pairs]
 
 
 def check_kp_relations(graph: StandardKGraph,
@@ -494,7 +496,7 @@ def check_kp_relations(graph: StandardKGraph,
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
     return _decide("kp", 0, graph, (
-        (prod(map(len, ts)), "exhaustive",
+        (prod(map(len, ts)),
          lambda family=family, build=build: [(family, build())],
          partial(_translate, ts))
         for family, ts, build in _kp_shapes(graph, window, ring)), case_index)

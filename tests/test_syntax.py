@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
 from kumjian_pask.kgraph import Path, StandardKGraph, vertex
 from kumjian_pask.syntax import (ElementSyntaxError, format_element,
-                                 format_path, parse_element, parse_word)
+                                 format_path, parse_element)
 
 ZZ = IntegerRing()
 G22 = StandardKGraph(2, 2)
@@ -164,10 +164,10 @@ def test_parse_returns_element_or_positioned_error(text):
 
 
 def test_parse_word_rejects_trailing():
-    w = parse_word("v(0,0) . p[(0,0)->(-1,0);1]", G22)
-    assert len(w) == 2
+    x = parse_element("v(0,0) . p[(0,0)->(-1,0);1]", G22, ZZ)
+    assert [len(w) for w in x.terms] == [2]
     with pytest.raises(ElementSyntaxError):
-        parse_word("v(0,0) extra", G22)
+        parse_element("v(0,0) extra", G22, ZZ)
 
 
 def test_modular_coefficients_print_as_residues():

@@ -59,6 +59,26 @@ def test_case_index_runs_single_case():
     assert report.cases == 1 and report.passed
 
 
+def test_sampled_rerun_costs_the_same_at_any_index(monkeypatch):
+    """A sampled check is one unit, so a rerun reaches its case by
+    arithmetic: the last of ten million cases draws only its own RNG and
+    reruns in well under a second."""
+    from kumjian_pask import verify
+
+    real, drawn = verify._case_rng, []
+
+    def spy(seed, name, index):
+        drawn.append(index)
+        return real(seed, name, index)
+
+    monkeypatch.setattr(verify, "_case_rng", spy)
+    report = check_lemma3(StandardKGraph(2, 2), seed=0, cases=10**7,
+                          case_index=10**7 - 1)
+    assert report.cases == 1 and report.passed
+    assert drawn == [10**7 - 1]
+    assert report.elapsed < 1.0
+
+
 def test_run_all_order_and_names():
     graph = StandardKGraph(1, 2)
     reports = run_all(graph, seed=1, cases=10)
