@@ -9,9 +9,8 @@ machine-checks the defining identities and the confluence of the reduction
 system at desk scale.
 """
 
-from .kgraph import (Coords, KGraphError, CompositionError, DegreeSplitError,
-                     ShapeError, Path, StandardKGraph, compose, factorize,
-                     levelvec_compatible, vertex)
+from .kgraph import (Coords, KGraphError, Path, StandardKGraph, compose,
+                     factorize, levelvec_compatible, vertex)
 from .freealg import (Element, IntegerRing, Letter, ModularRing, Ring,
                       RingMismatchError, Word, letter, ring_from_spec,
                       word_star)

@@ -13,8 +13,8 @@ Exit status: 0 on success or passing checks, 1 on check failure, 2 on
 usage errors (including malformed elements, unreadable element files and a
 --case-index that names no case of the run), 141 (128 + SIGPIPE) when the
 reader closes stdout early.
-Integer flags and the zmod:N modulus take ASCII digits only, as the
-element grammar does.
+Integer flags, window bounds and the zmod:N modulus take ASCII digits
+only, as the element grammar does.
 Output is byte-reproducible from flags and seed; no environment variables
 are consulted.
 
@@ -28,11 +28,10 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 
 from . import verify
-from .algebra import Window, enumerate_basis, kp_mul, kp_star
+from .algebra import SHAPES, Window, enumerate_basis, kp_mul, kp_star
 from .freealg import Element, ring_from_spec
 from .kgraph import KGraphError, StandardKGraph, ascii_int
 from .rewrite import TraceStep, normalize
@@ -44,9 +43,6 @@ class UsageError(Exception):
     pass
 
 
-_RANGE_RE = re.compile(r"^(-?[0-9]+)\.\.(-?[0-9]+)$")
-
-
 def _parse_window(text: str, k: int, degree_bound: int) -> Window:
     pieces = text.split(",")
     if len(pieces) == 1:
@@ -56,12 +52,10 @@ def _parse_window(text: str, k: int, degree_bound: int) -> Window:
         raise UsageError(f"window needs {need}, got {len(pieces)}")
     lo, hi = [], []
     for piece in pieces:
-        m = _RANGE_RE.match(piece.strip())
         try:
-            if not m:
-                raise ValueError(piece)
-            lo.append(int(m.group(1)))
-            hi.append(int(m.group(2)))
+            a, b = map(ascii_int, piece.split(".."))
+            lo.append(a)
+            hi.append(b)
         except ValueError:  # also past int()'s digit limit
             raise UsageError(
                 f"bad window range {piece!r}, expected lo..hi") from None
@@ -157,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default -2..2)")
     p.add_argument("--degree-bound", type=ascii_int, default=2,
                    help="max |degree| of enumerated paths (default 2)")
-    p.add_argument("--shape", default="all",
-                   choices=("all", "vertex", "path", "ghost", "pair"))
+    p.add_argument("--shape", default="all", choices=("all", *SHAPES))
     p.add_argument("--range-left", default=None,
                    help="filter: range of the (left) path, comma-separated")
     p.add_argument("--range-right", default=None,
@@ -166,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run verification suites")
     _add_common(p)
-    p.add_argument("which", choices=("lemma3", "lemma8", "lemma12", "lemma13",
-                                     "confluence", "kp", "all"))
+    p.add_argument("which", choices=(*verify.CHECKS, "kp", "all"))
     p.add_argument("--seed", type=ascii_int, default=0,
                    help="base seed (default 0)")
     p.add_argument("--cases", type=ascii_int, default=100,

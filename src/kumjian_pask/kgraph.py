@@ -43,18 +43,6 @@ class KGraphError(ValueError):
     """Structural misuse of a lattice or path operation."""
 
 
-class CompositionError(KGraphError):
-    """Source/range mismatch in a path composition."""
-
-
-class DegreeSplitError(KGraphError):
-    """Requested degree split does not sum to the path degree."""
-
-
-class ShapeError(KGraphError):
-    """Inconsistent shape parameters for an S-set."""
-
-
 # --------------------------------------------------------------------------
 # Lattice operations on Z^k / N^k
 # --------------------------------------------------------------------------
@@ -179,7 +167,7 @@ def vertex(coords: Coords) -> Path:
 def compose(a: Path, b: Path) -> Path:
     """a following b: requires source(a) == range(b)."""
     if a.source != b.range:
-        raise CompositionError(
+        raise KGraphError(
             f"cannot compose: source {a.source} != range {b.range}")
     return _path(a.range, b.source, a.levels + b.levels)
 
@@ -187,9 +175,9 @@ def compose(a: Path, b: Path) -> Path:
 def factorize(lam: Path, m: Coords, n: Coords) -> tuple[Path, Path]:
     """The unique split of lam into a degree-m path followed by a degree-n one."""
     if not (is_degree(m) and is_degree(n)):
-        raise DegreeSplitError("split degrees must lie in N^k")
+        raise KGraphError("split degrees must lie in N^k")
     if vadd(m, n) != lam.degree:
-        raise DegreeSplitError(
+        raise KGraphError(
             f"split {m} + {n} does not equal degree {lam.degree}")
     mid = vsub(lam.range, m)
     top = _path(lam.range, mid, lam.levels[:norm(m)])
@@ -238,9 +226,6 @@ class StandardKGraph:
 
     def _check_levels(self, levels: Coords) -> Coords:
         levels = tuple(levels)
-        if not levels or (min(levels) >= 1 and max(levels) <= self.level):
-            return levels
-        # name the first entry out of range
         for e in levels:
             if not 1 <= e <= self.level:
                 raise KGraphError(
@@ -294,11 +279,11 @@ class StandardKGraph:
         """
         v, w = self._check_coords(v), self._check_coords(w)
         if not (is_degree(m) and is_degree(n)):
-            raise ShapeError("degrees must lie in N^k")
+            raise KGraphError("degrees must lie in N^k")
         p, q = self._check_levels(p), self._check_levels(q)
         shared = norm(m) - len(p)
         if shared != norm(n) - len(q) or shared < 0:
-            raise ShapeError(
+            raise KGraphError(
                 f"need |m|-|p| = |n|-|q| >= 0, got {norm(m)}-{len(p)} "
                 f"and {norm(n)}-{len(q)}")
         return self._s_set(v, w, m, n, p, q)

@@ -18,8 +18,8 @@ case, found from the counts with nothing else built or drawn; an index that
 no unit holds raises CaseIndexError.  A randomized sampler is one unit, its
 case j drawn from its own RNG seeded by "<seed>:<name>:<j>", so any failure
 is reproducible from the report alone.  check_kp_relations is exhaustive
-over a window: its units are the shapes of _kp_shapes, each a family's
-relation anchored at the origin, whose cases are its translates in the
+over a window: _kp_shapes yields its units, one per shape, a family's
+relation anchored at the origin whose cases are its translates in the
 window.  Translating by any t in Z^k is an automorphism of the standard
 k-graph, and NF(x + t) = NF(x) + t (the equivariance property in the
 tests), so a shape decides all its translates at once.
@@ -96,11 +96,6 @@ def _rand_vertex(rng: random.Random, window: Window) -> Coords:
     return tuple(rng.randint(a, b) for a, b in zip(window.lo, window.hi))
 
 
-def _rand_degree(rng: random.Random, k: int, hi_norm: int,
-                 lo_norm: int = 0) -> Coords:
-    return rng.choice(degrees_upto(k, hi_norm, lo_norm))
-
-
 def _rand_levels(rng: random.Random, graph: StandardKGraph,
                  count: int) -> Coords:
     return tuple(rng.randint(1, graph.level) for _ in range(count))
@@ -111,7 +106,7 @@ def _rand_path(rng: random.Random, graph: StandardKGraph, window: Window,
                range_v: Coords | None = None,
                source_v: Coords | None = None) -> Path:
     hi = min(window.degree_bound, 3) if hi_norm is None else hi_norm
-    n = _rand_degree(rng, graph.k, hi)
+    n = rng.choice(degrees_upto(graph.k, hi))
     if range_v is not None:
         r = range_v
     elif source_v is not None:
@@ -137,14 +132,14 @@ class CaseIndexError(ValueError):
 
 def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
     """The report over units, (count, shared, case) tuples.  A unit's count
-    cases are numbered on from the unit before.  shared() gives the (label,
-    relation) pairs that decide them all at once, or shared is None;
-    case(pairs, j), given those pairs or None, gives case j's seed and its
-    own pairs.  A case fails at its first relation that does not normalize
-    to 0; a unit without shared pairs, or whose shared pairs fail, is
-    decided case by case.  With case_index the units before the one
-    holding it are skipped by their counts and only that case is
-    decided."""
+    cases are numbered on from the unit before; a count below 0 raises
+    ValueError.  shared() gives the (label, relation) pairs that decide
+    them all at once, or shared is None; case(pairs, j), given those pairs
+    or None, gives case j's seed and its own pairs.  A case fails at its
+    first relation that does not normalize to 0; a unit without shared
+    pairs, or whose shared pairs fail, is decided case by case.  With
+    case_index the units before the one holding it are skipped by their
+    counts and only that case is decided."""
     report = CheckReport(name, 0, seed)
     start = time.perf_counter()
 
@@ -163,6 +158,8 @@ def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
         return True
 
     for count, shared, case in units:
+        if count < 0:
+            raise ValueError(f"{name} cases must be >= 0, got {count}")
         first = report.cases
         report.cases += count
         if case_index is None:
@@ -215,7 +212,7 @@ def check_lemma3(graph: StandardKGraph, seed: int, cases: int,
         lam = _rand_path(rng, graph, window, range_v=v)
         mu = _rand_path(rng, graph, window, range_v=v)
         j = join(lam.degree, mu.degree)
-        q = vadd(j, _rand_degree(rng, graph.k, 1, 0 if any(j) else 1))
+        q = vadd(j, rng.choice(degrees_upto(graph.k, 1, 0 if any(j) else 1)))
         # distinct betas give distinct mu . beta: at most one beta per alpha
         betas = {compose(mu, beta): beta
                  for beta in graph.paths(mu.source, vsub(q, mu.degree))}
@@ -261,7 +258,7 @@ def check_lemma8(graph: StandardKGraph, seed: int, cases: int,
     lemma8 cases on k = 1, level 2, and has to change first."""
     if (graph.k == graph.level == 1
             or _default_window(graph, window).degree_bound == 0):
-        cases = 0
+        cases = min(cases, 0)
 
     def body(rng, graph, window, ring):
         key = canonical.class_key(*_rand_reduced_pair(rng, graph, window))
@@ -284,16 +281,16 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
     dies by R2 alone.  A draw with no such n-hat is drawn again; with
     degree bound 0 there is none, and the report has no cases."""
     if _default_window(graph, window).degree_bound == 0:
-        cases = 0
+        cases = min(cases, 0)
 
     def body(rng, graph, window, ring):
         hi = min(window.degree_bound, 3)
         while True:
             v = _rand_vertex(rng, window)
-            m = _rand_degree(rng, graph.k, hi)
+            m = rng.choice(degrees_upto(graph.k, hi))
             sp = rng.randint(0, norm(m))
             shared = norm(m) - sp
-            n = _rand_degree(rng, graph.k, hi, shared)
+            n = rng.choice(degrees_upto(graph.k, hi, shared))
             p = _rand_levels(rng, graph, sp)
             q = _rand_levels(rng, graph, norm(n) - shared)
             w = vadd(vsub(v, m), n)
@@ -320,11 +317,11 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
     there is no such n to sample, and at level 1 every path is all ones, so
     both sums are empty; the report then has no cases."""
     if graph.level == 1 or _default_window(graph, window).degree_bound < 2:
-        cases = 0
+        cases = min(cases, 0)
 
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
-        n = _rand_degree(rng, graph.k, min(window.degree_bound, 3), 2)
+        n = rng.choice(degrees_upto(graph.k, min(window.degree_bound, 3), 2))
         hi = min(window.degree_bound, 2)
         lam = _rand_path(rng, graph, window, hi, source_v=v)
         mu = _rand_path(rng, graph, window, hi, source_v=v)
@@ -397,14 +394,14 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 # --------------------------------------------------------------------------
 
 def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
-    """(family, translates, build) for every defining-relation shape with
-    at least one translate in the window: per coordinate the range of the
-    t that keep its footprint, from low to high, inside the window, and a
-    function of no arguments that builds the relation anchored at the
-    origin.  The instances are build().translated(t) for t in
-    product(*translates), in this order.  Nothing of a relation is built
-    before build is called, so a caller that skips a shape by its
-    translate count pays only for the count."""
+    """The runner's units of check_kp_relations: one per defining-relation
+    shape, a family's relation anchored at the origin, with at least one
+    translate in the window.  Its translates ts are per coordinate the
+    range of the t that keep its footprint, from low to high, inside the
+    window.  The unit counts the t of product(*ts); shared() builds the
+    relation, and case j is it moved by the j-th t (_translate).  Nothing
+    of a relation is built before shared is called, so a rerun that skips
+    a shape by its count pays only for the count."""
     lo, hi = window.lo, window.hi
     degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
     origin = (0,) * graph.k
@@ -413,6 +410,10 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     def translates(low, high):
         return [range(a - l, b - h + 1)
                 for a, b, l, h in zip(lo, hi, low, high)]
+
+    def unit(family, ts, build, *args):
+        return (prod(map(len, ts)), lambda: [(family, build(*args))],
+                partial(_translate, ts))
 
     # the paths of degree n with range (from) or source (into) the origin
     paths_from = {n: graph.paths(origin, n) for n in degs}
@@ -446,28 +447,27 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
 
     # KP1 on v = 0 and w = d
     for d in product(*(range(a - b, b - a + 1) for a, b in zip(lo, hi))):
-        yield ("KP1", translates(meet(origin, d), join(origin, d)),
-               partial(kp1, d))
+        yield unit("KP1", translates(meet(origin, d), join(origin, d)), kp1, d)
 
     # unit laws and KP3: footprint the source -n up to the range 0
     for n in degs:
         if all(ts := translates(vsub(origin, n), origin)):
             for p in paths_from[n]:
                 for j in range(4):
-                    yield "KP2", ts, partial(unit_law, p, j)
+                    yield unit("KP2", ts, unit_law, p, j)
             for lam, mu in product(paths_from[n], repeat=2):
-                yield "KP3", ts, partial(kp3, lam, mu)
+                yield unit("KP3", ts, kp3, lam, mu)
 
     # compositions: footprint mu's source -n2 up to lam's range n1
     for n1, n2 in product(degs, repeat=2):
         if all(ts := translates(vsub(origin, n2), n1)):
             for lam, mu in product(paths_into[n1], paths_from[n2]):
-                yield "KP2", ts, partial(composition, lam, mu, False)
-                yield "KP2", ts, partial(composition, lam, mu, True)
+                yield unit("KP2", ts, composition, lam, mu, False)
+                yield unit("KP2", ts, composition, lam, mu, True)
 
     # KP4: footprint 0 only, since its paths leave the window
     for n in degs:
-        yield "KP4", translates(origin, origin), partial(kp4, n)
+        yield unit("KP4", translates(origin, origin), kp4, n)
 
 
 def _translate(ts, pairs, j: int):
@@ -490,16 +490,13 @@ def check_kp_relations(graph: StandardKGraph,
     same-degree ghost products, and the vertex expansion identity with
     |n| <= 2.  Path degrees are capped at |d| <= 2.
 
-    Each shape of _kp_shapes, in order, is a unit of prod(map(len,
-    translates)) cases: its relation decides them all, and its case j is
-    the relation moved by the j-th translate t in lexicographic order."""
+    The units are those of _kp_shapes, in order: a shape counts its
+    translates, its relation decides them all, and its case j is the
+    relation moved by the j-th translate t in lexicographic order."""
     window = _default_window(graph, window)
     ring = ring if ring is not None else IntegerRing()
-    return _decide("kp", 0, graph, (
-        (prod(map(len, ts)),
-         lambda family=family, build=build: [(family, build())],
-         partial(_translate, ts))
-        for family, ts, build in _kp_shapes(graph, window, ring)), case_index)
+    return _decide("kp", 0, graph, _kp_shapes(graph, window, ring),
+                   case_index)
 
 
 CHECKS = {

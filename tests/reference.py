@@ -12,13 +12,18 @@ filtering and sorting all same-source pairs of window paths.
 reference_kp_instances lists every defining-relation instance in a window
 directly, vertex by vertex and path by path, with no shapes or
 translation; check_kp_relations must cover the same multiset.
+
+rand_path and rand_element draw the random paths and words that the
+rewrite tests and the acceptance corpus share.
 """
 
 from itertools import groupby, product
 
 from kumjian_pask.algebra import Window, basis_shape
-from kumjian_pask.freealg import Element, letter, pair_word, word_key
-from kumjian_pask.kgraph import KGraphError, Path, compose
+from kumjian_pask.freealg import (Element, IntegerRing, letter, pair_word,
+                                  word_key)
+from kumjian_pask.kgraph import (KGraphError, Path, compose, degrees_upto,
+                                 norm, vadd, vsub)
 from kumjian_pask.rewrite import (TraceStep, all_redexes, apply_rule,
                                   find_redex, word_measure)
 from kumjian_pask.verify import _relation
@@ -133,3 +138,42 @@ def reference_kp_instances(graph, window, ring):
         for n in degs:
             yield "KP4", _relation(ring, [(vl[v],)], [
                 pair_word(lam, lam) for lam in graph.paths(v, n)])
+
+
+def rand_path(rng, graph, lo=0, hi=3, range_v=None, source_v=None):
+    """A random path with lo <= |d| <= hi, with the given range or source
+    or else a range in -3..3."""
+    n = rng.choice(degrees_upto(graph.k, hi, lo))
+    if range_v is not None:
+        r = range_v
+    elif source_v is not None:
+        r = vadd(source_v, n)
+    else:
+        r = tuple(rng.randint(-3, 3) for _ in range(graph.k))
+    return Path(r, vsub(r, n),
+                tuple(rng.randint(1, graph.level) for _ in range(norm(n))))
+
+
+def rand_element(rng, graph, max_letters=4):
+    """A random integer element of one or two words of 1..max_letters
+    letters, most of them chained to the letter before."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        letters = []
+        for _ in range(rng.randint(1, max_letters)):
+            ghost = rng.random() < 0.4
+            if letters and rng.random() < 0.7:
+                prev = letters[-1]
+                anchor = prev.path.range if prev.ghost else prev.path.source
+                if (not prev.ghost and not prev.path.is_vertex and ghost
+                        and rng.random() < 0.5):
+                    p = rand_path(rng, graph, 1, 3, source_v=prev.path.source)
+                elif ghost:
+                    p = rand_path(rng, graph, 0, 3, source_v=anchor)
+                else:
+                    p = rand_path(rng, graph, 0, 3, range_v=anchor)
+            else:
+                p = rand_path(rng, graph)
+            letters.append(letter(p, ghost=ghost))
+        terms.append((tuple(letters), rng.choice((-2, -1, 1, 2))))
+    return Element.from_terms(IntegerRing(), terms)

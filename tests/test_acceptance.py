@@ -17,14 +17,14 @@ import pytest
 from kumjian_pask.algebra import basis_shape, enumerate_basis, uniform_window
 from kumjian_pask.canonical import class_key, in_A, member_sources
 from kumjian_pask.cli import main as cli_main
-from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
-from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
-                                 leq, meet, norm, vadd, vsub)
+from kumjian_pask.freealg import Element, IntegerRing, ModularRing
+from kumjian_pask.kgraph import (StandardKGraph, compose, degrees_upto, leq,
+                                 meet, norm, vadd)
 from kumjian_pask.rewrite import normalize
 from kumjian_pask.verify import (check_confluence, check_kp_relations,
                                  check_lemma3, check_lemma8, check_lemma12,
                                  check_lemma13)
-from reference import reference_normalize
+from reference import rand_element, reference_normalize
 
 SEED = 1405
 CONFIGS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -32,41 +32,10 @@ GRAPHS = {cfg: StandardKGraph(*cfg) for cfg in CONFIGS}
 ZZ = IntegerRing()
 
 
-def _rand_path(rng, graph, lo=0, hi=3, range_v=None, source_v=None):
-    n = rng.choice(degrees_upto(graph.k, hi, lo))
-    if range_v is not None:
-        r = range_v
-    elif source_v is not None:
-        r = vadd(source_v, n)
-    else:
-        r = tuple(rng.randint(-3, 3) for _ in range(graph.k))
-    return Path(r, vsub(r, n),
-                tuple(rng.randint(1, graph.level) for _ in range(norm(n))))
-
-
 def _corpus_case(index):
     rng = random.Random(f"{SEED}:corpus:{index}")
     graph = GRAPHS[CONFIGS[rng.randrange(4)]]
-    terms = []
-    for _ in range(rng.randint(1, 2)):
-        letters = []
-        for _ in range(rng.randint(1, 4)):
-            ghost = rng.random() < 0.4
-            if letters and rng.random() < 0.7:
-                prev = letters[-1]
-                anchor = prev.path.range if prev.ghost else prev.path.source
-                if (not prev.ghost and not prev.path.is_vertex and ghost
-                        and rng.random() < 0.5):
-                    p = _rand_path(rng, graph, 1, 3, source_v=prev.path.source)
-                elif ghost:
-                    p = _rand_path(rng, graph, 0, 3, source_v=anchor)
-                else:
-                    p = _rand_path(rng, graph, 0, 3, range_v=anchor)
-            else:
-                p = _rand_path(rng, graph)
-            letters.append(letter(p, ghost=ghost))
-        terms.append((tuple(letters), rng.choice((-2, -1, 1, 2))))
-    return graph, Element.from_terms(ZZ, terms)
+    return graph, rand_element(rng, graph)
 
 
 @pytest.fixture(scope="module")

@@ -120,6 +120,11 @@ def test_per_coordinate_window(capsys):
                            "--window", "0..1,-1..0", "--degree-bound", "0")
     assert code == 0
     assert out.splitlines() == ["v(0,-1)", "v(0,0)", "v(1,-1)", "v(1,0)"]
+    # a bound reads like an integer flag: a sign, and spaces around it
+    signed, plain = (run_cli(capsys, "basis", "--k", "2", "--level", "2",
+                             "--window", window, "--degree-bound", "1")
+                     for window in ("+0..1, -1..0", "0..1,-1..0"))
+    assert signed == plain and plain[0] == 0 and plain[1]
 
 
 
@@ -196,10 +201,11 @@ def test_usage_errors_exit_two(capsys):
     code, out, _ = run_cli(capsys, "check", "lemma3", "--k", "1", "--level",
                            "2", "--degree-bound", "-1")
     assert code == 2 and out == ""
-    # a window bound past int()'s digit limit
-    code, out, err = run_cli(capsys, "basis", "--k", "1", "--level", "2",
-                             "--window", "0.." + "1" * 5000)
-    assert code == 2 and out == "" and "bad window range" in err
+    # malformed window ranges, and a bound past int()'s digit limit
+    for window in ("1..2..3", "..2", "1..", "+-1..2", "0.." + "1" * 5000):
+        code, out, err = run_cli(capsys, "basis", "--k", "1", "--level", "2",
+                                 "--window", window)
+        assert code == 2 and out == "" and "bad window range" in err, window
 
 
 def test_byte_reproducibility(capsys):

@@ -8,14 +8,13 @@ from kumjian_pask import canonical, rewrite
 from kumjian_pask.algebra import basis_shape, uniform_window
 from kumjian_pask.freealg import Element, IntegerRing, letter
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
-                                 factorize, leq, meet, norm, vadd, vsub,
-                                 vertex)
+                                 factorize, leq, meet, norm, vsub, vertex)
 from kumjian_pask.rewrite import (OrderingViolation, RedexMatch,
                                   RewriteFault, RuleId, TerminationFault,
                                   all_redexes, apply_rule, find_redex,
                                   match_at, normalize, valid_expansions,
                                   word_measure)
-from reference import reference_normalize
+from reference import rand_element, rand_path, reference_normalize
 
 ZZ = IntegerRing()
 G22 = StandardKGraph(2, 2)
@@ -231,46 +230,11 @@ def test_normalize_zero_and_coefficients():
     assert nf.terms[(letter(vertex((1, 0))),)] == 3
 
 
-def _rand_path(rng, graph, lo=0, hi=3, range_v=None, source_v=None):
-    n = rng.choice(degrees_upto(graph.k, hi, lo))
-    if range_v is not None:
-        r = range_v
-    elif source_v is not None:
-        r = vadd(source_v, n)
-    else:
-        r = tuple(rng.randint(-3, 3) for _ in range(graph.k))
-    return Path(r, vsub(r, n),
-                tuple(rng.randint(1, graph.level) for _ in range(norm(n))))
-
-
-def _rand_element(rng, graph, max_letters=4):
-    terms = []
-    for _ in range(rng.randint(1, 2)):
-        letters = []
-        for _ in range(rng.randint(1, max_letters)):
-            ghost = rng.random() < 0.4
-            if letters and rng.random() < 0.7:
-                prev = letters[-1]
-                anchor = prev.path.range if prev.ghost else prev.path.source
-                if (not prev.ghost and not prev.path.is_vertex and ghost
-                        and rng.random() < 0.5):
-                    p = _rand_path(rng, graph, 1, 3, source_v=prev.path.source)
-                elif ghost:
-                    p = _rand_path(rng, graph, 0, 3, source_v=anchor)
-                else:
-                    p = _rand_path(rng, graph, 0, 3, range_v=anchor)
-            else:
-                p = _rand_path(rng, graph)
-            letters.append(letter(p, ghost=ghost))
-        terms.append((tuple(letters), rng.choice((-2, -1, 1, 2))))
-    return Element.from_terms(ZZ, terms)
-
-
 def test_normalize_idempotent_and_basis_shaped():
     rng = random.Random("idempotent")
     for _ in range(400):
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
-        x = _rand_element(rng, graph)
+        x = rand_element(rng, graph)
         nf = normalize(graph, x)
         assert normalize(graph, nf) == nf
         assert all(basis_shape(w) is not None for w in nf.terms)
@@ -281,7 +245,7 @@ def test_every_step_strictly_decreases_measure():
     violations = 0
     for _ in range(300):
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
-        x = _rand_element(rng, graph)
+        x = rand_element(rng, graph)
         steps = []
         normalize(graph, x, trace=steps.append)
         for step in steps:
@@ -296,9 +260,9 @@ def test_r5_decrements_nonrep_count_by_one_in_any_context():
     nonrep = Path((1, 1), (0, 1), (2,))
     base = (letter(nonrep), letter(nonrep, ghost=True))
     for _ in range(200):
-        left = tuple(letter(_rand_path(rng, G22, 0, 2),
+        left = tuple(letter(rand_path(rng, G22, 0, 2),
                             ghost=rng.random() < 0.5) for _ in range(rng.randint(0, 2)))
-        right = tuple(letter(_rand_path(rng, G22, 0, 2),
+        right = tuple(letter(rand_path(rng, G22, 0, 2),
                              ghost=rng.random() < 0.5) for _ in range(rng.randint(0, 2)))
         w = left + base + right
         m = match_at(w, len(left))
@@ -335,8 +299,8 @@ def test_valid_expansions_oracle():
     for _ in range(200):
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
         v = tuple(rng.randint(-2, 2) for _ in range(graph.k))
-        lam = _rand_path(rng, graph, 0, 2, source_v=v)
-        mu = _rand_path(rng, graph, 0, 2, source_v=v)
+        lam = rand_path(rng, graph, 0, 2, source_v=v)
+        mu = rand_path(rng, graph, 0, 2, source_v=v)
         t = rng.choice(degrees_upto(graph.k, 2))
         ones = graph.all_ones_path(v, t)
         lam, mu = compose(lam, ones), compose(mu, ones)
@@ -363,8 +327,8 @@ def test_is_valid_expansion_matches_the_list():
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
         v = tuple(rng.randint(-2, 2) for _ in range(graph.k))
         ones = graph.all_ones_path(v, rng.choice(degrees_upto(graph.k, 2)))
-        lam = compose(_rand_path(rng, graph, 0, 2, source_v=v), ones)
-        mu = compose(_rand_path(rng, graph, 0, 2, source_v=v), ones)
+        lam = compose(rand_path(rng, graph, 0, 2, source_v=v), ones)
+        mu = compose(rand_path(rng, graph, 0, 2, source_v=v), ones)
         if lam.is_vertex or mu.is_vertex:
             continue
         got = valid_expansions(lam, mu)
@@ -427,7 +391,7 @@ def test_randomized_strategy_agrees():
     rng = random.Random("strategy")
     for i in range(300):
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
-        x = _rand_element(rng, graph)
+        x = rand_element(rng, graph)
         det = normalize(graph, x)
         rand, _ = reference_normalize(graph, x, random.Random(f"inner:{i}"))
         assert det == rand
@@ -455,6 +419,6 @@ def test_normalize_is_linear():
     rng = random.Random("linearity")
     for _ in range(200):
         graph = StandardKGraph(rng.choice((1, 2)), rng.choice((1, 2)))
-        x = _rand_element(rng, graph)
-        y = _rand_element(rng, graph)
+        x = rand_element(rng, graph)
+        y = rand_element(rng, graph)
         assert normalize(graph, x + y) == normalize(graph, x) + normalize(graph, y)

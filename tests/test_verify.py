@@ -79,6 +79,23 @@ def test_sampled_rerun_costs_the_same_at_any_index(monkeypatch):
     assert report.elapsed < 1.0
 
 
+def test_negative_case_counts_are_refused():
+    """A check reports the cases it ran, so cases=-1 is an error, also
+    where there is nothing to sample; cases=0 passes with no cases."""
+    graph, empty = StandardKGraph(1, 2), StandardKGraph(1, 1)
+    calls = [(name, partial(check, graph)) for name, check in CHECKS.items()]
+    calls += [("lemma8", partial(check_lemma8, empty)),
+              ("lemma3", partial(run_all, graph))]
+    for name, call in calls:
+        with pytest.raises(ValueError,
+                           match=f"^{name} cases must be >= 0, got -1$"):
+            call(seed=0, cases=-1)
+    reports = [call(seed=0, cases=0) for _, call in calls[:-1]]
+    reports += run_all(graph, seed=0, cases=0)[:-1]
+    for report in reports:
+        assert report.cases == 0 and report.passed, report.text_lines()
+
+
 def test_run_all_order_and_names():
     graph = StandardKGraph(1, 2)
     reports = run_all(graph, seed=1, cases=10)
@@ -479,8 +496,6 @@ def test_kp_shape_translates_are_the_reference_instances(k, level, window):
     instances, each exactly once, and a shape's translate count is the
     length of its product of ranges."""
     from collections import Counter
-    from itertools import product
-    from math import prod
 
     from kumjian_pask.verify import _kp_shapes
 
@@ -489,15 +504,15 @@ def test_kp_shape_translates_are_the_reference_instances(k, level, window):
                        for family, relation in pairs)
 
     graph, ring = StandardKGraph(k, level), IntegerRing()
-    shapes = list(_kp_shapes(graph, window, ring))
-    translates = instances((family, build().translated(t))
-                           for family, ts, build in shapes
-                           for t in product(*ts))
+    units = list(_kp_shapes(graph, window, ring))
+    translates = instances(pair for count, shared, case in units
+                           for j in range(count)
+                           for pair in case(shared(), j)[1])
     reference = instances(reference_kp_instances(graph, window, ring))
     assert translates == reference
     assert max(reference.values()) == 1
     assert check_kp_relations(graph, window).cases == sum(
-        prod(map(len, ts)) for _, ts, _ in shapes) == sum(reference.values())
+        count for count, _, _ in units) == sum(reference.values())
 
 
 def test_kp_memo_never_hides_a_failing_instance(monkeypatch):
