@@ -12,15 +12,13 @@ system at desk scale.
 from .kgraph import (Coords, KGraphError, Path, StandardKGraph, compose,
                      factorize, levelvec_compatible, vertex)
 from .freealg import (Element, IntegerRing, Letter, ModularRing, Ring,
-                      RingMismatchError, Word, letter, ring_from_spec,
-                      word_star)
-from .canonical import (ClassKey, PairError, UnrealizableKeyError, class_key,
-                        in_A, in_R, member_sources, representative)
+                      RingMismatchError, Word, letter, ring_from_spec)
+from .canonical import (ClassKey, PairError, class_key, in_A, in_R,
+                        member_sources, representative)
 from .rewrite import (OrderingViolation, RedexMatch, RuleId, TerminationFault,
                       TraceStep, WordMeasure, all_redexes, apply_rule,
                       find_redex, normalize, word_measure)
-from .algebra import (Window, basis_shape, enumerate_basis, kp_mul, kp_star,
-                      uniform_window)
+from .algebra import Window, basis_shape, enumerate_basis, uniform_window
 from .syntax import (ElementSyntaxError, format_element, format_word,
                      parse_element)
 from .verify import (CheckReport, check_confluence, check_kp_relations,

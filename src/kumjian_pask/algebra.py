@@ -1,6 +1,7 @@
-"""The Kumjian-Pask algebra of a standard k-graph as a quotient of the
-free algebra: multiplication and star via normalization, basis-word
-recognition, and windowed basis enumeration.
+"""Windows of the vertex lattice, basis-word recognition, and windowed
+basis enumeration for the Kumjian-Pask algebra of a standard k-graph.
+Its product and star are those of the free algebra followed by
+rewrite.normalize.
 
 The basis consists of the vertices, the nonzero-degree paths, their
 ghosts, and the products path * ghost over canonical representative pairs.
@@ -18,10 +19,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import canonical
-from .freealg import Element, Word, letter
+from .freealg import Word, letter
 from .kgraph import (Coords, KGraphError, Path, StandardKGraph, _path,
                      degrees_upto, leq, meet, vsub)
-from .rewrite import normalize
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +43,12 @@ class Window:
     @property
     def k(self) -> int:
         return len(self.lo)
+
+    def of_rank(self, k: int) -> Window:
+        """This window; KGraphError unless it has k coordinates."""
+        if self.k != k:
+            raise KGraphError("window dimension differs from graph rank")
+        return self
 
     def contains(self, v: Coords) -> bool:
         return leq(self.lo, v) and leq(v, self.hi)
@@ -68,16 +74,6 @@ class Window:
 
 def uniform_window(k: int, lo: int, hi: int, degree_bound: int) -> Window:
     return Window((lo,) * k, (hi,) * k, degree_bound)
-
-
-def kp_mul(graph: StandardKGraph, x: Element, y: Element) -> Element:
-    """Product in the quotient: normal form of the free product."""
-    return normalize(graph, x * y)
-
-
-def kp_star(graph: StandardKGraph, x: Element) -> Element:
-    """Star in the quotient: normal form of the free-algebra star."""
-    return normalize(graph, x.star())
 
 
 def basis_shape(w: Word) -> str | None:
@@ -108,8 +104,7 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
     range_left filters on the range of the single path (vertex itself for
     vertex words); range_right applies to the ghost component of pair words.
     """
-    if window.k != graph.k:
-        raise KGraphError("window dimension differs from graph rank")
+    window.of_rank(graph.k)
     if shape != "all" and shape not in SHAPES:
         raise KGraphError(f"unknown shape {shape!r}")
     shapes = SHAPES if shape == "all" else (shape,)

@@ -34,11 +34,8 @@ PathPair = tuple[Path, Path]
 
 
 class PairError(ValueError):
-    """Pair outside the domain required by an operation."""
-
-
-class UnrealizableKeyError(ValueError):
-    """Class key with no valid member pair."""
+    """A pair outside the domain required by an operation, or a class key
+    with no valid member pair."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,18 +66,17 @@ def class_key(lam: Path, mu: Path) -> ClassKey:
 def _key_shape(key: ClassKey) -> tuple[Coords, int]:
     """(meet of ranges, deficit) for the source candidates of a key."""
     if not key.left_levels or not key.right_levels:
-        raise UnrealizableKeyError("level vectors must be nonempty")
+        raise PairError("level vectors must be nonempty")
     t = norm(key.left_range) - len(key.left_levels)  # |s| for any member s
     if norm(key.right_range) - len(key.right_levels) != t:
-        raise UnrealizableKeyError("inconsistent source coordinate sums")
+        raise PairError("inconsistent source coordinate sums")
     c = meet(key.left_range, key.right_range)
     deficit = norm(c) - t
     if deficit < 0:
-        raise UnrealizableKeyError(
-            f"no source vertex: need |s| = {t} below {c}")
+        raise PairError(f"no source vertex: need |s| = {t} below {c}")
     if deficit > 0 and key.left_levels[-1] == 1 and key.right_levels[-1] == 1:
         # every candidate pair would carry a common trailing all-ones factor
-        raise UnrealizableKeyError("all members of this key are non-reduced")
+        raise PairError("all members of this key are non-reduced")
     return c, deficit
 
 

@@ -31,7 +31,7 @@ import os
 import sys
 
 from . import verify
-from .algebra import SHAPES, Window, enumerate_basis, kp_mul, kp_star
+from .algebra import SHAPES, Window, enumerate_basis
 from .freealg import Element, ring_from_spec
 from .kgraph import KGraphError, StandardKGraph, ascii_int
 from .rewrite import TraceStep, normalize
@@ -205,12 +205,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "mul":
         left = _element_arg(args.left, graph, ring)
         right = _element_arg(args.right, graph, ring)
-        _print_element(kp_mul(graph, left, right), args.format)
+        _print_element(normalize(graph, left * right), args.format)
         return 0
 
     if args.command == "star":
         elem = _element_arg(args.element, graph, ring)
-        _print_element(kp_star(graph, elem), args.format)
+        _print_element(normalize(graph, elem.star()), args.format)
         return 0
 
     if args.command == "basis":

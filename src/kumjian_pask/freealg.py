@@ -8,8 +8,8 @@ non-unital: there is no empty word, because the vertex set is infinite.
 
 Coefficients are plain Python ints interpreted by a Ring instance, so all
 arithmetic is exact.  Letters are tuples (path, ghost), validated only by
-their public constructor Letter(...); letter, star_letter and pair_word
-make valid letters by construction and skip the check.
+their public constructor Letter(...); letter and pair_word make valid
+letters by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -112,12 +112,6 @@ def letter(path: Path, ghost: bool = False) -> Letter:
     return tuple.__new__(Letter, (path, ghost and not path.is_vertex))
 
 
-def star_letter(x: Letter) -> Letter:
-    if x.path.is_vertex:
-        return x
-    return tuple.__new__(Letter, (x.path, not x.ghost))
-
-
 def letter_key(x: Letter) -> tuple:
     # tag order: vertex < path < ghost
     (r, s, levels), ghost = x
@@ -131,11 +125,6 @@ def pair_word(lam: Path, mu: Path) -> Word:
     """The two-letter word lam . mu* (letters canonicalize vertices)."""
     return (tuple.__new__(Letter, (lam, False)),
             tuple.__new__(Letter, (mu, not mu.is_vertex)))
-
-
-def word_star(w: Word) -> Word:
-    """Reverse the word and swap path/ghost tags."""
-    return tuple(star_letter(x) for x in reversed(w))
 
 
 def word_key(w: Word) -> tuple:
@@ -155,10 +144,6 @@ class Element:
     def __init__(self, ring: Ring, terms: dict[Word, int] | None = None):
         self.ring = ring
         self.terms: dict[Word, int] = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "Element":
-        return cls(ring)
 
     @classmethod
     def from_terms(cls, ring: Ring,
@@ -213,8 +198,9 @@ class Element:
 
     def star(self) -> "Element":
         """The anti-involution: reverse words, swap path/ghost tags."""
-        return Element(self.ring,
-                       {word_star(w): c for w, c in self.terms.items()})
+        return Element(self.ring, {
+            tuple(letter(path, not ghost) for path, ghost in reversed(w)): c
+            for w, c in self.terms.items()})
 
     def translated(self, t: Coords) -> "Element":
         """Every vertex of every letter moved by t.  A translate of a path

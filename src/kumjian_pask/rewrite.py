@@ -222,7 +222,7 @@ def apply_rule(graph: StandardKGraph, ring: Ring, w: Word, m: RedexMatch,
     return Element.from_terms(ring, rhs)
 
 
-DEFAULT_STEP_GUARD = 10 ** 6
+STEP_GUARD = 10 ** 6
 
 
 class _Cache(dict):
@@ -251,7 +251,6 @@ class _Max(NamedTuple):
 
 
 def normalize(graph: StandardKGraph, elem: Element, *,
-              step_guard: int = DEFAULT_STEP_GUARD,
               trace: Optional[Callable[[TraceStep], None]] = None) -> Element:
     """Fixed point of the reduction system on every term of an element.
 
@@ -272,8 +271,9 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     normal form; the tests check that against their reference scheduler,
     which picks words and redexes at random.
 
-    Raises TerminationFault if more than step_guard single-word rewrites
-    are needed (unreachable for a correct engine).
+    Raises TerminationFault if more than STEP_GUARD single-word rewrites
+    are needed (unreachable for a correct engine); the guard is read once
+    per call.
     """
     ring = elem.ring
     pending = dict(elem.terms)
@@ -282,7 +282,7 @@ def normalize(graph: StandardKGraph, elem: Element, *,
     redex = _Cache(find_redex).__getitem__
     # a sorted list is a heap
     heap = sorted(_Max((measure(w), word_key(w)), w) for w in pending)
-    steps = 0
+    steps, step_guard = 0, STEP_GUARD
     while pending:
         w = heapq.heappop(heap).word
         c = pending.pop(w, None)

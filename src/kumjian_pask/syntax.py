@@ -152,7 +152,7 @@ def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:
     if pos == len(text):
         raise ElementSyntaxError(0, "empty input")
     if text.strip() == "0":
-        return Element.zero(ring)
+        return Element(ring)
     terms: list[tuple[Word, int]] = []
     sign = 1
     if text[pos] == "-":

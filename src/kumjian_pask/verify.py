@@ -89,7 +89,8 @@ def _case_rng(seed: int, name: str, index: int) -> random.Random:
 
 def _default_window(graph: StandardKGraph,
                     window: Window | None) -> Window:
-    return uniform_window(graph.k, -3, 3, 3) if window is None else window
+    return (uniform_window(graph.k, -3, 3, 3) if window is None
+            else window.of_rank(graph.k))
 
 
 def _rand_vertex(rng: random.Random, window: Window) -> Coords:
@@ -105,7 +106,7 @@ def _rand_path(rng: random.Random, graph: StandardKGraph, window: Window,
                hi_norm: int | None = None,
                range_v: Coords | None = None,
                source_v: Coords | None = None) -> Path:
-    hi = min(window.degree_bound, 3) if hi_norm is None else hi_norm
+    hi = window.degree_bound if hi_norm is None else hi_norm
     n = rng.choice(degrees_upto(graph.k, hi))
     if range_v is not None:
         r = range_v
@@ -187,8 +188,10 @@ def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
 def _run_cases(name, graph, seed, cases, window, ring, case_index, body):
     """Decide one unit of cases that share nothing: body(rng, graph,
     window, ring), called with case j's own RNG only when case j is
-    decided, returns an iterable of the case's (label, relation) pairs."""
+    decided, returns an iterable of the case's (label, relation) pairs.
+    The body's window caps the degree bound at 3."""
     window = _default_window(graph, window)
+    window = Window(window.lo, window.hi, min(window.degree_bound, 3))
     ring = ring if ring is not None else IntegerRing()
 
     def case(_, j):
@@ -232,7 +235,7 @@ def _rand_reduced_pair(rng: random.Random, graph: StandardKGraph,
     with disjoint supports (so k >= 2); at higher levels the degrees meet,
     so that with k >= 2 the class has two or more members, and a trailing
     level entry other than 1 is forced."""
-    degs = degrees_upto(graph.k, min(window.degree_bound, 3), 1)
+    degs = degrees_upto(graph.k, window.degree_bound, 1)
     if graph.level == 1:
         dl = rng.choice([d for d in degs if 0 in d])
         dr = rng.choice([d for d in degs if not any(meet(dl, d))])
@@ -284,13 +287,12 @@ def check_lemma12(graph: StandardKGraph, seed: int, cases: int,
         cases = min(cases, 0)
 
     def body(rng, graph, window, ring):
-        hi = min(window.degree_bound, 3)
         while True:
             v = _rand_vertex(rng, window)
-            m = rng.choice(degrees_upto(graph.k, hi))
+            m = rng.choice(degrees_upto(graph.k, window.degree_bound))
             sp = rng.randint(0, norm(m))
             shared = norm(m) - sp
-            n = rng.choice(degrees_upto(graph.k, hi, shared))
+            n = rng.choice(degrees_upto(graph.k, window.degree_bound, shared))
             p = _rand_levels(rng, graph, sp)
             q = _rand_levels(rng, graph, norm(n) - shared)
             w = vadd(vsub(v, m), n)
@@ -321,7 +323,7 @@ def check_lemma13(graph: StandardKGraph, seed: int, cases: int,
 
     def body(rng, graph, window, ring):
         v = _rand_vertex(rng, window)
-        n = rng.choice(degrees_upto(graph.k, min(window.degree_bound, 3), 2))
+        n = rng.choice(degrees_upto(graph.k, window.degree_bound, 2))
         hi = min(window.degree_bound, 2)
         lam = _rand_path(rng, graph, window, hi, source_v=v)
         mu = _rand_path(rng, graph, window, hi, source_v=v)

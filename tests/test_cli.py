@@ -206,6 +206,13 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, "basis", "--k", "1", "--level", "2",
                                  "--window", window)
         assert code == 2 and out == "" and "bad window range" in err, window
+    # a range filter with the wrong number of coordinates
+    for flag, value, count in (("--range-left", "0", 1),
+                               ("--range-right", "0,1,2", 3)):
+        code, out, err = run_cli(capsys, "basis", "--k", "2", "--level", "2",
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag} needs 2 coordinates, got {count}" in err
 
 
 def test_byte_reproducibility(capsys):

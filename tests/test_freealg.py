@@ -6,7 +6,7 @@ import pytest
 
 from kumjian_pask.freealg import (Element, IntegerRing, Letter, ModularRing,
                                   RingMismatchError, letter, letter_key,
-                                  ring_from_spec, word_key, word_star)
+                                  ring_from_spec, word_key)
 from kumjian_pask.kgraph import Path, vertex
 
 ZZ = IntegerRing()
@@ -37,6 +37,8 @@ def test_ring_equality_and_spec():
     assert ModularRing(5) != ModularRing(7)
     assert ring_from_spec("int") == IntegerRing()
     assert ring_from_spec("zmod:5") == ModularRing(5)
+    assert len({IntegerRing(), IntegerRing(), ModularRing(5),
+                ring_from_spec("zmod:5")}) == 2
     with pytest.raises(ValueError):
         ring_from_spec("zmod:x")
     with pytest.raises(ValueError):
@@ -70,8 +72,9 @@ def test_letter_order_tags():
 def test_element_add_examples():
     v, lam, _ = _letters()
     x = Element.from_word(ZZ, (letter(lam),), 1)
-    assert x + Element.zero(ZZ) == x
+    assert x + Element(ZZ) == x
     assert (x + -x).is_zero()
+    assert not Element(ZZ) and bool(x)
     z2 = ModularRing(2)
     y = Element.from_word(z2, (letter(lam),), 1)
     assert (y + y).is_zero()
@@ -83,7 +86,7 @@ def test_element_mul_examples():
     three_lam = Element.from_word(ZZ, (letter(lam),), 3)
     prod = two_v * three_lam
     assert prod.terms == {(letter(v), letter(lam)): 6}
-    assert (three_lam * Element.zero(ZZ)).is_zero()
+    assert (three_lam * Element(ZZ)).is_zero()
     lam_e = Element.from_word(ZZ, (letter(lam),))
     mu_e = Element.from_word(ZZ, (letter(mu),))
     nu_e = Element.from_word(ZZ, (letter(v),))
@@ -103,8 +106,10 @@ def test_element_ring_mismatch():
 def test_star_examples():
     v, lam, mu = _letters()
     w = (letter(lam), letter(mu, ghost=True))
-    assert word_star(w) == (letter(mu), letter(lam, ghost=True))
-    assert word_star((letter(v),)) == (letter(v),)
+    assert (Element.from_word(ZZ, w).star()
+            == Element.from_word(ZZ, (letter(mu), letter(lam, ghost=True))))
+    assert (Element.from_word(ZZ, (letter(v),)).star()
+            == Element.from_word(ZZ, (letter(v),)))
     x = Element.from_terms(ZZ, [(w, 2), ((letter(v),), -1)])
     assert x.star().star() == x
 

@@ -13,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kumjian_pask import canonical, rewrite
-from kumjian_pask.algebra import enumerate_basis, kp_mul, kp_star, uniform_window
+from kumjian_pask.algebra import enumerate_basis, uniform_window
 from kumjian_pask.freealg import (Element, IntegerRing, Letter, ModularRing,
-                                 letter, pair_word, ring_from_spec,
-                                 star_letter)
+                                 letter, pair_word, ring_from_spec)
 from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  factorize, norm, vadd, vertex, vsub)
 from kumjian_pask.rewrite import normalize
@@ -105,15 +104,17 @@ def test_normal_form_commutes_with_reduction_mod_n(case):
 @given(graph_and(1))
 def test_star_is_an_involution_in_the_quotient(case):
     graph, (x,) = case
-    assert kp_star(graph, kp_star(graph, x)) == normalize(graph, x)
+    assert (normalize(graph, normalize(graph, x.star()).star())
+            == normalize(graph, x))
 
 
 @SETTINGS
 @given(graph_and(2))
 def test_star_reverses_products(case):
     graph, (x, y) = case
-    assert (kp_star(graph, kp_mul(graph, x, y))
-            == kp_mul(graph, kp_star(graph, y), kp_star(graph, x)))
+    assert (normalize(graph, normalize(graph, x * y).star())
+            == normalize(graph, normalize(graph, y.star())
+                         * normalize(graph, x.star())))
 
 
 @SETTINGS
@@ -179,8 +180,8 @@ def level_vectors(graph, size):
        st.data())
 def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
     """vertex, compose, factorize, paths, all_ones_path, s_set, _s_set and
-    s_of build paths without the validator, and letter, star_letter and
-    pair_word build letters without it; Path(*p) and Letter(*x) run it on
+    s_of build paths without the validator, and letter and pair_word
+    build letters without it; Path(*p) and Letter(*x) run it on
     each output.  canonical.representative, which validates, is checked
     too."""
     draw = data.draw
@@ -213,7 +214,6 @@ def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
     for p in built:
         assert type(p) is Path and Path(*p) == p
     letters = [letter(p, ghost) for p in built for ghost in (False, True)]
-    letters += [star_letter(x) for x in letters]
     letters += pair_word(lam, mu) + pair_word(vertex(src), a)
     for x in letters:
         assert type(x) is Letter and type(x.path) is Path and Letter(*x) == x

@@ -17,7 +17,7 @@ G12 = StandardKGraph(1, 2)
 
 
 def test_format_examples():
-    assert format_element(Element.zero(ZZ)) == "0"
+    assert format_element(Element(ZZ)) == "0"
     v = Element.from_word(ZZ, (letter(vertex((0, 0))),))
     assert format_element(v) == "1 * v(0,0)"
     lam = Path((1, 1), (1, 0), (2,))

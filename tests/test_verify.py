@@ -96,6 +96,23 @@ def test_negative_case_counts_are_refused():
         assert report.cases == 0 and report.passed, report.text_lines()
 
 
+@pytest.mark.parametrize("graph, window", [
+    (StandardKGraph(2, 2), uniform_window(1, -1, 1, 2)),
+    (StandardKGraph(1, 2), uniform_window(2, -1, 1, 2)),
+], ids=["k2-window1", "k1-window2"])
+def test_a_window_of_the_wrong_rank_is_refused_at_entry(graph, window):
+    from kumjian_pask.kgraph import KGraphError
+
+    message = "^window dimension differs from graph rank$"
+    for check in CHECKS.values():
+        with pytest.raises(KGraphError, match=message):
+            check(graph, 7, 10, window)
+    with pytest.raises(KGraphError, match=message):
+        check_kp_relations(graph, window)
+    with pytest.raises(KGraphError, match=message):
+        run_all(graph, 7, 10, window)
+
+
 def test_run_all_order_and_names():
     graph = StandardKGraph(1, 2)
     reports = run_all(graph, seed=1, cases=10)
