@@ -18,7 +18,7 @@ from .canonical import (ClassKey, PairError, class_key, in_A, in_R,
 from .rewrite import (OrderingViolation, RedexMatch, RuleId, TerminationFault,
                       TraceStep, WordMeasure, all_redexes, apply_rule,
                       find_redex, normalize, word_measure)
-from .algebra import Window, basis_shape, enumerate_basis, uniform_window
+from .algebra import Window, enumerate_basis, uniform_window
 from .syntax import (ElementSyntaxError, format_element, format_word,
                      parse_element)
 from .verify import (CheckReport, check_confluence, check_kp_relations,

@@ -1,16 +1,14 @@
-"""Windows of the vertex lattice, basis-word recognition, and windowed
-basis enumeration for the Kumjian-Pask algebra of a standard k-graph.
-Its product and star are those of the free algebra followed by
-rewrite.normalize.
+"""Windows of the vertex lattice and windowed basis enumeration for the
+Kumjian-Pask algebra of a standard k-graph.
 
 The basis consists of the vertices, the nonzero-degree paths, their
 ghosts, and the products path * ghost over canonical representative pairs.
 Since the vertex set is the whole lattice, every enumeration is restricted
 to an explicit window.  Path and ghost words are built from the window's
-paths (Window.paths).  Each pair word is built from its class key, in key
-order: the two ranges and the level vectors fix the representative's
-source (canonical.rep_source).  A class contributes its word only when
-that source lies in the window, so pair counts are window-relative.
+paths (Window.paths).  The pair words come from canonical.pair_words,
+which owns the choice of representative: this module hands it the ranges
+in the window, the degree bound and the window's floor on the last
+coordinate, so pair counts are window-relative.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from dataclasses import dataclass
 
 from . import canonical
 from .freealg import Word, letter
-from .kgraph import (Coords, KGraphError, Path, StandardKGraph, _path,
-                     degrees_upto, leq, meet, vsub)
+from .kgraph import (Coords, KGraphError, Path, StandardKGraph,
+                     degrees_upto, leq, vsub)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,19 +74,6 @@ def uniform_window(k: int, lo: int, hi: int, degree_bound: int) -> Window:
     return Window((lo,) * k, (hi,) * k, degree_bound)
 
 
-def basis_shape(w: Word) -> str | None:
-    """Classify a word as 'vertex', 'path', 'ghost', or 'pair'; None if the
-    word is not a basis word."""
-    if len(w) == 1:
-        x = w[0]
-        if x.path.is_vertex:
-            return "vertex"
-        return "ghost" if x.ghost else "path"
-    if len(w) == 2 and canonical.pair_kind(*w) == "representative":
-        return "pair"
-    return None
-
-
 SHAPES = ("vertex", "path", "ghost", "pair")
 
 
@@ -103,15 +88,21 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
 
     range_left filters on the range of the single path (vertex itself for
     vertex words); range_right applies to the ghost component of pair words.
+    KGraphError unless each given filter has k coordinates.
     """
     window.of_rank(graph.k)
     if shape != "all" and shape not in SHAPES:
         raise KGraphError(f"unknown shape {shape!r}")
+    if range_left is not None:
+        range_left = graph._check_coords(range_left)
+    if range_right is not None:
+        range_right = graph._check_coords(range_right)
     shapes = SHAPES if shape == "all" else (shape,)
+    verts = window.vertices()
+    lefts = [v for v in verts if range_left in (None, v)]
     out: list[Word] = []
     if "vertex" in shapes:
-        out.extend((letter(graph.vertex(v)),) for v in window.vertices()
-                   if range_left in (None, v))
+        out.extend((letter(graph.vertex(v)),) for v in lefts)
     if "path" in shapes or "ghost" in shapes:
         lams = [p for p in window.paths(graph)
                 if range_left in (None, p.range)]
@@ -120,42 +111,7 @@ def enumerate_basis(graph: StandardKGraph, window: Window,
         if "ghost" in shapes:
             out.extend((letter(p, ghost=True),) for p in lams)
     if "pair" in shapes:
-        out.extend(_pair_words(graph, window, range_left, range_right))
-    return out
-
-
-def _pair_words(graph: StandardKGraph, window: Window,
-                range_left: Coords | None,
-                range_right: Coords | None) -> list[Word]:
-    """One word lam . mu* per class key (rl, rr, p, q) with both ranges in
-    the window, 1 <= |p|, |q| <= the bound and a representative source s in
-    the window, in key order.  The rule is rep_source's: c is the meet of
-    the ranges, |s| = |rl| - |p|, and s is c lowered on its last coordinate
-    by the deficit |c| - |s|.  A key with a positive deficit whose level
-    vectors both end in 1 has no reduced member."""
-    verts = window.vertices()
-    lefts = [v for v in verts if range_left in (None, v)]
-    rights = [v for v in verts if range_right in (None, v)]
-    levels = range(1, graph.level + 1)
-    bound, floor = window.degree_bound, window.lo[-1]
-    out: list[Word] = []
-    for rl in lefts:
-        for rr in rights:
-            c = meet(rl, rr)
-            for a in range(1, bound + 1):
-                b = a + sum(rr) - sum(rl)
-                deficit = sum(c) - sum(rl) + a
-                if (not 1 <= b <= bound or deficit < 0
-                        or c[-1] - deficit < floor):
-                    continue
-                s = c[:-1] + (c[-1] - deficit,)
-                lams = [letter(_path(rl, s, p))
-                        for p in itertools.product(levels, repeat=a)]
-                mus = [letter(_path(rr, s, q), ghost=True)
-                       for q in itertools.product(levels, repeat=b)]
-                words = itertools.product(lams, mus)
-                if deficit > 0:
-                    words = (w for w in words if w[0].path.levels[-1] != 1
-                             or w[1].path.levels[-1] != 1)
-                out.extend(words)
+        out.extend(canonical.pair_words(
+            graph.level, lefts, [v for v in verts if range_right in (None, v)],
+            window.degree_bound, window.lo[-1]))
     return out

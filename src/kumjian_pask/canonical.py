@@ -15,19 +15,22 @@ key.  One member per class is chosen as the canonical representative: the
 one with the lexicographically greatest source.  Any other choice would
 work equally well; determinism is all that matters downstream.
 
-pair_kind, the pair test of the rewriter, the word measure and basis
-recognition, builds no ClassKey: it reads both the A test and the
-representative's source from the meet of the two ranges (see its
-docstring), so a different choice of representative changes it along with
-rep_source.  rep_source and member_sources stay the key-based definitions
-that representative and in_R use.
+This module alone makes that choice.  pair_kind, the pair test of the
+rewriter and the word measure, builds no ClassKey: it reads both the A test
+and the representative's source from the meet of the two ranges (see its
+docstring).  pair_words builds the pair basis words of a window straight
+from their class keys by the same rule.  rep_source and member_sources stay
+the key-based definitions that representative and in_R use.  A different
+choice of representative changes rep_source, pair_kind and pair_words
+together, and nothing outside this module.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .freealg import Letter, pair_word
+from .freealg import Letter, Word, letter, pair_word
 from .kgraph import Coords, Path, _path, degrees_upto, meet, norm, vsub
 
 PathPair = tuple[Path, Path]
@@ -133,3 +136,37 @@ def pair_kind(x: Letter, y: Letter) -> str | None:
     if c != s and lam_lv[-1] == 1 and mu_lv[-1] == 1:
         return "unreduced"
     return "representative" if c[:-1] == s[:-1] else "nonrep"
+
+
+def pair_words(level: int, lefts: list[Coords], rights: list[Coords],
+               bound: int, floor: int) -> list[Word]:
+    """The pair basis words lam . mu*, one per class key (rl, rr, p, q)
+    with rl in lefts, rr in rights, 1 <= |p|, |q| <= bound and a
+    representative source whose last coordinate is at least floor, in key
+    order: ranges, |p|, then the two level vectors.  The rule is
+    rep_source's: c is the meet of the ranges, |s| = |rl| - |p|, and s is c
+    lowered on its last coordinate by the deficit |c| - |s|.  A key with a
+    positive deficit whose level vectors both end in 1 has no reduced
+    member."""
+    levels = range(1, level + 1)
+    out: list[Word] = []
+    for rl in lefts:
+        for rr in rights:
+            c = meet(rl, rr)
+            for a in range(1, bound + 1):
+                b = a + sum(rr) - sum(rl)
+                deficit = sum(c) - sum(rl) + a
+                if (not 1 <= b <= bound or deficit < 0
+                        or c[-1] - deficit < floor):
+                    continue
+                s = c[:-1] + (c[-1] - deficit,)
+                lams = [letter(_path(rl, s, p))
+                        for p in itertools.product(levels, repeat=a)]
+                mus = [letter(_path(rr, s, q), ghost=True)
+                       for q in itertools.product(levels, repeat=b)]
+                words = itertools.product(lams, mus)
+                if deficit > 0:
+                    words = (w for w in words if w[0].path.levels[-1] != 1
+                             or w[1].path.levels[-1] != 1)
+                out.extend(words)
+    return out

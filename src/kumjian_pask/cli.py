@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="-3..3",
                    help="sampling window (default -3..3)")
     p.add_argument("--degree-bound", type=ascii_int, default=3,
-                   help="sampling degree bound (default 3); kp caps "
-                        "path degrees at min(bound, 2)")
+                   help="sampling degree bound (default 3); the samplers "
+                        "draw degrees up to min(bound, 3), and kp caps path "
+                        "degrees at min(bound, 2)")
     p.add_argument("--case-index", type=ascii_int, default=None,
                    help="run only the case with this index, which must be "
                         "a case of the run (for reproduction)")
@@ -298,7 +299,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

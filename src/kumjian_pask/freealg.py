@@ -165,9 +165,6 @@ class Element:
             raise RingMismatchError(
                 f"ring mismatch: {self.ring!r} vs {other.ring!r}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

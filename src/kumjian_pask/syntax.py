@@ -82,7 +82,7 @@ def format_word(w: Word) -> str:
 
 
 def format_element(e: Element) -> str:
-    if e.is_zero():
+    if not e:
         return "0"
     return " + ".join(f"{exact_decimal(c)} * {format_word(w)}"
                       for w, c in e.sorted_terms())

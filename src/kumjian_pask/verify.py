@@ -149,7 +149,7 @@ def _decide(name, seed, graph, units, case_index=None) -> CheckReport:
         does not is recorded as case index's failure, if index is given."""
         for label, relation in pairs:
             result = normalize(graph, relation)
-            if not result.is_zero():
+            if result:
                 if index is not None:
                     report.failures.append(CaseFailure(
                         index, case_seed, format_element(relation),

@@ -6,8 +6,9 @@ rewrite order and, the system being confluent, that a random strategy
 reaches the same normal form.
 
 reference_graph_path validates a path with separate checks, one fault
-after another, and reference_pair_words lists the pair basis words by
-filtering and sorting all same-source pairs of window paths.
+after another.  basis_shape is the tests' definition of a basis word, and
+reference_pair_words lists the pair basis words by filtering and sorting
+all same-source pairs of window paths with it.
 
 reference_kp_instances lists every defining-relation instance in a window
 directly, vertex by vertex and path by path, with no shapes or
@@ -19,7 +20,8 @@ rewrite tests and the acceptance corpus share.
 
 from itertools import groupby, product
 
-from kumjian_pask.algebra import Window, basis_shape
+from kumjian_pask.algebra import Window
+from kumjian_pask.canonical import pair_kind
 from kumjian_pask.freealg import (Element, IntegerRing, letter, pair_word,
                                   word_key)
 from kumjian_pask.kgraph import (KGraphError, Path, compose, degrees_upto,
@@ -75,6 +77,19 @@ def reference_graph_path(graph, range_v, source_v, levels):
         if not 1 <= e <= graph.level:
             raise KGraphError(f"level entry {e} out of range 1..{graph.level}")
     return Path(r, s, lv)
+
+
+def basis_shape(w):
+    """Classify a word as 'vertex', 'path', 'ghost', or 'pair'; None if the
+    word is not a basis word."""
+    if len(w) == 1:
+        x = w[0]
+        if x.path.is_vertex:
+            return "vertex"
+        return "ghost" if x.ghost else "path"
+    if len(w) == 2 and pair_kind(*w) == "representative":
+        return "pair"
+    return None
 
 
 def reference_pair_words(graph, window, range_left=None, range_right=None):

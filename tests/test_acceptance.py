@@ -14,7 +14,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from kumjian_pask.algebra import basis_shape, enumerate_basis, uniform_window
+from kumjian_pask.algebra import enumerate_basis, uniform_window
 from kumjian_pask.canonical import class_key, in_A, member_sources
 from kumjian_pask.cli import main as cli_main
 from kumjian_pask.freealg import Element, IntegerRing, ModularRing
@@ -24,7 +24,7 @@ from kumjian_pask.rewrite import normalize
 from kumjian_pask.verify import (check_confluence, check_kp_relations,
                                  check_lemma3, check_lemma8, check_lemma12,
                                  check_lemma13)
-from reference import rand_element, reference_normalize
+from reference import basis_shape, rand_element, reference_normalize
 
 SEED = 1405
 CONFIGS = ((1, 1), (1, 2), (2, 1), (2, 2))

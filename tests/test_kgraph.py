@@ -265,6 +265,12 @@ def test_graph_factories_validate():
         StandardKGraph(0, 2)
     with pytest.raises(KGraphError):
         StandardKGraph(2, 0)
+    with pytest.raises(KGraphError, match=r"degree \(-1, 1\) must lie in N\^k"):
+        graph.paths((0, 0), (-1, 1))
+    with pytest.raises(KGraphError, match=r"degree \(1, -1\) must lie in N\^k"):
+        graph.all_ones_path((0, 0), (1, -1))
+    with pytest.raises(KGraphError, match=r"degrees must lie in N\^k"):
+        graph.s_set((0, 0), (0, 0), (-1, 1), (0, 0), (), ())
 
 
 # (range, source, levels, message) for Path(...): one fault, then two at

@@ -49,7 +49,7 @@ def test_parse_examples():
 def test_parse_sign_handling():
     lam_txt = "p[(1,1)->(1,0);2]"
     a = parse_element(f"{lam_txt} - {lam_txt}", G22, ZZ)
-    assert a.is_zero()
+    assert not a
     b = parse_element(f"-2 * {lam_txt} + 3 * {lam_txt}", G22, ZZ)
     lam = Path((1, 1), (1, 0), (2,))
     assert b == Element.from_word(ZZ, (letter(lam),))
@@ -58,9 +58,9 @@ def test_parse_sign_handling():
 
 
 def test_parse_zero_and_zero_coefficient():
-    assert parse_element("0", G22, ZZ).is_zero()
-    assert parse_element("  0  ", G22, ZZ).is_zero()
-    assert parse_element("0 * v(0,0)", G22, ZZ).is_zero()
+    assert not parse_element("0", G22, ZZ)
+    assert not parse_element("  0  ", G22, ZZ)
+    assert not parse_element("0 * v(0,0)", G22, ZZ)
 
 
 def test_parse_vertex_star_is_vertex():
