@@ -398,14 +398,17 @@ def check_confluence(graph: StandardKGraph, seed: int, cases: int,
 def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     """The runner's units of check_kp_relations: one per defining-relation
     shape, a family's relation anchored at the origin, with at least one
-    translate in the window.  Its translates ts are per coordinate the
-    range of the t that keep its footprint, from low to high, inside the
-    window.  The unit counts the t of product(*ts); shared() builds the
-    relation, and case j is it moved by the j-th t (_translate).  Nothing
-    of a relation is built before shared is called, so a rerun that skips
-    a shape by its count pays only for the count."""
+    translate in the window, family by family (KP1, KP2, KP3, KP4).  KP2's
+    shapes are the compositions lam . mu and their stars, where lam or mu
+    may be a vertex, the degree-0 path, but not both (v . v is KP1's).  A
+    shape's translates ts are per coordinate the range of the t that keep
+    its footprint, from low to high, inside the window.  The unit counts
+    the t of product(*ts); shared() builds the relation, and case j is it
+    moved by the j-th t (_translate).  Nothing of a relation is built
+    before shared is called, so a rerun that skips a shape by its count
+    pays only for the count."""
     lo, hi = window.lo, window.hi
-    degs = degrees_upto(graph.k, min(window.degree_bound, 2), 1)
+    degs = degrees_upto(graph.k, min(window.degree_bound, 2))
     origin = (0,) * graph.k
     o = letter(graph.vertex(origin))
 
@@ -424,13 +427,6 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     def kp1(d):
         return _relation(ring, [(o, letter(graph.vertex(d)))],
                          [] if any(d) else [(o,)])
-
-    def unit_law(p, j):
-        lp, gp = letter(p), letter(p, ghost=True)
-        sv = letter(graph.vertex(p.source))
-        word, unit = (((o, lp), lp), ((lp, sv), lp),
-                      ((sv, gp), gp), ((gp, o), gp))[j]
-        return _relation(ring, [word], [(unit,)])
 
     def kp3(lam, mu):
         return _relation(
@@ -451,24 +447,22 @@ def _kp_shapes(graph: StandardKGraph, window: Window, ring: Ring):
     for d in product(*(range(a - b, b - a + 1) for a, b in zip(lo, hi))):
         yield unit("KP1", translates(meet(origin, d), join(origin, d)), kp1, d)
 
-    # unit laws and KP3: footprint the source -n up to the range 0
-    for n in degs:
-        if all(ts := translates(vsub(origin, n), origin)):
-            for p in paths_from[n]:
-                for j in range(4):
-                    yield unit("KP2", ts, unit_law, p, j)
-            for lam, mu in product(paths_from[n], repeat=2):
-                yield unit("KP3", ts, kp3, lam, mu)
-
-    # compositions: footprint mu's source -n2 up to lam's range n1
+    # compositions, unit laws where n1 or n2 is 0: footprint mu's source
+    # -n2 up to lam's range n1
     for n1, n2 in product(degs, repeat=2):
-        if all(ts := translates(vsub(origin, n2), n1)):
+        if any(n1 + n2) and all(ts := translates(vsub(origin, n2), n1)):
             for lam, mu in product(paths_into[n1], paths_from[n2]):
                 yield unit("KP2", ts, composition, lam, mu, False)
                 yield unit("KP2", ts, composition, lam, mu, True)
 
+    # KP3: footprint the source -n up to the range 0
+    for n in degs[1:]:
+        if all(ts := translates(vsub(origin, n), origin)):
+            for lam, mu in product(paths_from[n], repeat=2):
+                yield unit("KP3", ts, kp3, lam, mu)
+
     # KP4: footprint 0 only, since its paths leave the window
-    for n in degs:
+    for n in degs[1:]:
         yield unit("KP4", translates(origin, origin), kp4, n)
 
 
@@ -488,9 +482,10 @@ def check_kp_relations(graph: StandardKGraph,
                        ring: Ring | None = None,
                        case_index: int | None = None) -> CheckReport:
     """Every defining-relation instance anchored in the window normalizes
-    to zero: vertex orthogonality/idempotency, unit laws and composition,
-    same-degree ghost products, and the vertex expansion identity with
-    |n| <= 2.  Path degrees are capped at |d| <= 2.
+    to zero: vertex orthogonality/idempotency, compositions and their
+    stars (with vertices included, which gives the unit laws), same-degree
+    ghost products, and the vertex expansion identity with |n| <= 2.  Path
+    degrees are capped at |d| <= 2.
 
     The units are those of _kp_shapes, in order: a shape counts its
     translates, its relation decides them all, and its case j is the

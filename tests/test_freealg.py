@@ -75,6 +75,9 @@ def test_element_add_examples():
     assert x + Element(ZZ) == x
     assert not (x + -x)
     assert not Element(ZZ) and bool(x)
+    # the zero element is not the integer 0: == defers to the other side
+    assert Element(ZZ) != 0
+    assert Element(ZZ).__eq__(0) is NotImplemented
     z2 = ModularRing(2)
     y = Element.from_word(z2, (letter(lam),), 1)
     assert not (y + y)

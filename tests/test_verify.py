@@ -259,8 +259,10 @@ def test_kp_failure_names_element_and_family(monkeypatch):
     full = check_kp_relations(graph, window)
     assert full.cases == len(full.failures) == 79
     assert [f.index for f in full.failures] == list(range(79))
-    assert {f.detail.split()[0] for f in full.failures} == {
-        "KP1", "KP2", "KP3", "KP4"}
+    # numbered family by family: KP1, then KP2, KP3 and KP4
+    families = [f.detail.split()[0] for f in full.failures]
+    assert families == sorted(families)
+    assert set(families) == {"KP1", "KP2", "KP3", "KP4"}
     third = full.failures[3]
     assert third.input == "-1 * v(-1) + 1 * v(-1) . v(-1)"
     assert third.detail == ("KP1 normal form -1 * v(-1) + 1 * v(-1) . v(-1) "
@@ -416,9 +418,9 @@ def test_lemma12_offers_every_nhat_below_the_meet(monkeypatch):
     (2, 3, Window((0, -1), (2, 1), 2)),
 ], ids=["1-1", "1-2", "2-1", "2-2", "2-3"])
 def test_kp_memo_agrees_with_direct_normalization(k, level, window):
-    """The uncached reference: every kp relation instance, normalized
-    directly, is 0, and the memoized report passes over the same number
-    of cases."""
+    """The reference: every kp relation instance, normalized directly, is
+    0, and the report, which normalizes one relation per shape, passes
+    over the same number of cases."""
     from kumjian_pask.rewrite import normalize
 
     graph = StandardKGraph(k, level)
@@ -432,8 +434,9 @@ def test_kp_memo_agrees_with_direct_normalization(k, level, window):
 
 def test_kp_normalizes_one_relation_per_translation_class(monkeypatch):
     """At (2,2) on -3..3 with bound 3, the 20,630 instances fall into 806
-    translation classes; the memo lives for one run, so a second run in the
-    same process makes as many normalize calls as the first."""
+    translation classes; nothing normalized is kept between runs, so a
+    second run in the same process makes as many normalize calls as the
+    first."""
     from kumjian_pask import verify
 
     real, calls = verify.normalize, []
@@ -507,11 +510,16 @@ def test_kp_normalizes_each_translation_class_once(monkeypatch, k, level,
     (2, 3, Window((0, -1), (2, 1), 3)),
     (3, 2, uniform_window(3, -1, 1, 2)),
     (2, 1, Window((0, 0), (0, 4), 3)),
-], ids=["1-2", "2-2", "2-3-box", "3-2", "2-1-thin"])
+    (1, 3, Window((-4,), (2,), 3)),
+    (3, 1, uniform_window(3, -1, 1, 2)),
+    (1, 1, uniform_window(1, -2, 2, 2)),
+], ids=["1-2", "2-2", "2-3-box", "3-2", "2-1-thin", "1-3", "3-1", "1-1"])
 def test_kp_shape_translates_are_the_reference_instances(k, level, window):
     """Per family, the translates of the shapes are the reference
     instances, each exactly once, and a shape's translate count is the
-    length of its product of ranges."""
+    length of its product of ranges.  The reference lists the unit laws
+    path by path, so the KP2 compositions with a vertex are exactly the
+    unit laws."""
     from collections import Counter
 
     from kumjian_pask.verify import _kp_shapes
