@@ -22,6 +22,12 @@ Printing is canonical: terms sorted by the word order, coefficients always
 explicit, separators ' + ', ' * ', and ' . '.  parse(format(x)) == x and
 format(parse(t)) reproduces any canonically formatted t byte for byte.
 Coefficients are exact at any size; coordinates keep int()'s digit limit.
+
+A generator is read in one match.  Two memos of the _MEMO most recently
+seen paths, _read_path (text to Path) and format_path (Path to text), leave
+the star outside, so a path and its ghost share an entry.  They hold only
+validated immutable values and never a fault, so no result or error
+depends on their state.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ def exact_decimal(x: int | str) -> str | int:
         return convert(Decimal(x))
 
 
+# The bound of each text memo: the most recently read and written paths.
+_MEMO = 64
+
+
 @functools.cache
 def _template(k: int, n: int) -> str:
     """The format string of a path with k coordinates and n level entries;
@@ -66,7 +76,10 @@ def _template(k: int, n: int) -> str:
     return "p[(" + coords + ")->(" + coords + ");" + ",".join(["{}"] * n) + "]"
 
 
+@functools.lru_cache(maxsize=_MEMO)
 def format_path(p: Path) -> str:
+    """The text of p, memoized on p: equal paths print the same, because
+    every builder makes integer coordinates and levels."""
     r, s, lv = p
     # str.format ignores the source coordinates a vertex template leaves out
     return _template(len(r), len(lv)).format(*r, *s, *lv)
@@ -93,24 +106,25 @@ def format_element(e: Element) -> str:
 # --------------------------------------------------------------------------
 
 _INTS = r"[+-]?[0-9]+ (?: \s*,\s* [+-]?[0-9]+ )*"
-# A whole generator with its optional star and the space after it.
+# A whole generator with the space around it, its optional star and the '.'
+# that joins it to the next one.
 _GENERATOR = re.compile(rf"""
-    (?: v \s* \( \s* (?P<vertex> {_INTS}) \s* \)
+    \s* (?: v \s* \( \s* (?P<vertex> {_INTS}) \s* \)
       | p \s* \[ \s* \( \s* (?P<range> {_INTS}) \s* \) \s* - \s* >
           \s* \( \s* (?P<source> {_INTS}) \s* \)
           \s* ; \s* (?P<levels> {_INTS}) \s* \] )
-    \s* (?P<star> \* )? \s*""", re.VERBOSE)
+    \s* (?P<star> \* )? \s* (?P<dot> \. )?""", re.VERBOSE)
 # An integer opening a term; group 2 is None when no '*' follows it.
 _COEFF = re.compile(r"([+-]?[0-9]+)\s*(\*)?")
 _SPACE = re.compile(r"\s*")
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    """The comma-separated integers in text.  int() drops the space around
-    each entry itself, so it is tried first.  The fallback strips each entry
-    with str.strip: that and the patterns' whitespace include U+001C..U+001F,
-    int() does not.  An integer beyond int()'s digit limit fails both ways
-    and raises from the fallback."""
+    """The comma-separated integers in text; runs only on a _read_path miss.
+    int() drops the space around each entry itself, so it is tried first.
+    The fallback strips each entry with str.strip: that and the patterns'
+    whitespace include U+001C..U+001F, int() does not.  An integer beyond
+    int()'s digit limit fails both ways and raises from the fallback."""
     parts = text.split(",")
     try:
         return tuple(map(int, parts))
@@ -118,32 +132,38 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(map(int, map(str.strip, parts)))
 
 
+@functools.lru_cache(maxsize=_MEMO)
+def _read_path(graph: StandardKGraph, vertex: str | None, range_v: str | None,
+               source_v: str | None, levels: str | None) -> Path:
+    """The validated path of a generator's captured integer lists, memoized
+    on the graph and the lists' text; a fault raises and is not kept."""
+    if vertex is not None:
+        return graph.vertex(_ints(vertex))
+    return graph.path(_ints(range_v), _ints(source_v), _ints(levels))
+
+
 def _parse_word(text: str, pos: int,
                 graph: StandardKGraph) -> tuple[Word, int]:
     """The word starting at pos, and the first non-space position after it."""
     letters = []
     while True:
-        pos = _SPACE.match(text, pos).end()
         m = _GENERATOR.match(text, pos)
         if m is None:
-            raise ElementSyntaxError(pos, "expected a generator: v(coords) "
-                                          "or p[(coords)->(coords);levels]")
-        vertex, range_v, source_v, levels, star = m.groups()
+            raise ElementSyntaxError(_SPACE.match(text, pos).end(),
+                                     "expected a generator: v(coords) "
+                                     "or p[(coords)->(coords);levels]")
+        vertex, range_v, source_v, levels, star, dot = m.groups()
         try:
-            if vertex is not None:
-                path = graph.vertex(_ints(vertex))
-            else:
-                path = graph.path(_ints(range_v), _ints(source_v),
-                                  _ints(levels))
+            path = _read_path(graph, vertex, range_v, source_v, levels)
         # a KGraphError, or an integer of more digits than int() converts
         except ValueError as exc:
-            raise ElementSyntaxError(pos, str(exc)) from None
+            raise ElementSyntaxError(_SPACE.match(text, pos).end(),
+                                     str(exc)) from None
         # letter drops the star of a vertex: vertices are self-adjoint
         letters.append(letter(path, ghost=star is not None))
         pos = m.end()
-        if not text.startswith(".", pos):
+        if dot is None:
             return tuple(letters), pos
-        pos += 1
 
 
 def parse_element(text: str, graph: StandardKGraph, ring: Ring) -> Element:

@@ -15,15 +15,16 @@ directly, vertex by vertex and path by path, with no shapes or
 translation; check_kp_relations must cover the same multiset.
 
 rand_path and rand_element draw the random paths and words that the
-rewrite tests and the acceptance corpus share.
+rewrite tests and the acceptance corpus share.  assert_exact_words checks
+that every word of an element is made of exact Letter and Path instances.
 """
 
 from itertools import groupby, product
 
 from kumjian_pask.algebra import Window
 from kumjian_pask.canonical import pair_kind
-from kumjian_pask.freealg import (Element, IntegerRing, letter, pair_word,
-                                  word_key)
+from kumjian_pask.freealg import (Element, IntegerRing, Letter, letter,
+                                  pair_word, word_key)
 from kumjian_pask.kgraph import (KGraphError, Path, compose, degrees_upto,
                                  norm, vadd, vsub)
 from kumjian_pask.rewrite import (TraceStep, all_redexes, apply_rule,
@@ -192,3 +193,13 @@ def rand_element(rng, graph, max_letters=4):
             letters.append(letter(p, ghost=ghost))
         terms.append((tuple(letters), rng.choice((-2, -1, 1, 2))))
     return Element.from_terms(IntegerRing(), terms)
+
+
+def assert_exact_words(elem):
+    """A namedtuple equals the bare tuple of its fields, so a word built
+    from plain tuples would be a different-typed key equal to the real one.
+    Every word must be a tuple of exact Letter instances over exact Paths."""
+    for w in elem.terms:
+        assert type(w) is tuple and w
+        for x in w:
+            assert type(x) is Letter and type(x.path) is Path

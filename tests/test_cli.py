@@ -1,13 +1,17 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kumjian_pask import verify
 from kumjian_pask.cli import build_parser, main
@@ -467,3 +471,62 @@ def test_closed_stdout_exits_141_quietly(argv, head):
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# Flag text for the fuzz test below: spaces int() and str.strip() drop,
+# signs (doubled or spaced too), and digits that are not ASCII, have a '_'
+# separator or exceed int()'s 4,300-digit limit.
+_PADS = st.sampled_from(["", " ", "\t", "\u00a0"])
+_SIGNS = st.sampled_from(["", "+", "-", "+-", "- "])
+_DIGITS = st.one_of(st.integers(0, 3).map(str),
+                    st.sampled_from(["", "٣", "²", "1_0", "9" * 4301]))
+_INTEGER = st.builds("".join, st.tuples(_PADS, _SIGNS, _DIGITS, _PADS))
+_MODULUS = st.one_of(_INTEGER, st.integers(-10**6, 10**6).map(str),
+                     st.just("1" + "0" * 4299))
+_RINGS = st.one_of(st.builds("zmod:{}".format, _MODULUS),
+                   st.sampled_from(["int", "zmod", "zmod :5", "Zmod:5", ""]))
+_RANGES = st.one_of(st.builds("{}..{}".format, _INTEGER, _INTEGER),
+                    st.sampled_from(["1..2..3", "..", "1", ""]))
+_WINDOWS = st.lists(_RANGES, min_size=1, max_size=3).map(",".join)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_ok_or_one_line_error(argv):
+    code, out, err = _run_quietly(argv)
+    if code == 0:
+        assert out and err == "", (argv, err)
+    else:
+        assert code == 2 and out == "", (argv, code)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_RINGS)
+@example("zmod:")
+@example("zmod:0")
+@example("zmod:1")
+@example("zmod:-5")
+@example("zmod: 5 ")
+@example("zmod:٥")
+@example("zmod:" + "9" * 4301)
+def test_ring_flag_fuzz_exits_zero_or_two(spec):
+    _assert_ok_or_one_line_error(["normalize", "--k", "1", "--level", "2",
+                                  "--ring", spec, "2 * v(0) - v(1)"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_WINDOWS)
+@example("3..-3")
+@example("+1..2, -1..0")
+@example(" -1 .. 1 ")
+@example("0..1,0..1,0..1")
+@example("-1..1,")
+def test_window_flag_fuzz_exits_zero_or_two(window):
+    _assert_ok_or_one_line_error(["basis", "--k", "2", "--level", "2",
+                                  "--degree-bound", "1", "--window", window])

@@ -20,7 +20,7 @@ from kumjian_pask.kgraph import (Path, StandardKGraph, compose, degrees_upto,
                                  factorize, norm, vadd, vertex, vsub)
 from kumjian_pask.rewrite import normalize
 from kumjian_pask.syntax import format_element, parse_element
-from reference import reference_normalize
+from reference import assert_exact_words, reference_normalize
 
 ZZ = IntegerRing()
 GRAPHS = [StandardKGraph(k, level) for k in (1, 2) for level in (1, 2)]
@@ -217,16 +217,6 @@ def test_unvalidated_builders_make_valid_paths_and_letters(graph, data):
     letters += pair_word(lam, mu) + pair_word(vertex(src), a)
     for x in letters:
         assert type(x) is Letter and type(x.path) is Path and Letter(*x) == x
-
-
-def assert_exact_words(elem):
-    """A namedtuple equals the bare tuple of its fields, so a word built
-    from plain tuples would be a different-typed key equal to the real one.
-    Every word must be a tuple of exact Letter instances over exact Paths."""
-    for w in elem.terms:
-        assert type(w) is tuple and w
-        for x in w:
-            assert type(x) is Letter and type(x.path) is Path
 
 
 @contextmanager

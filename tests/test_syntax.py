@@ -1,19 +1,26 @@
 """Element grammar: canonical printing and round-tripping parsing."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kumjian_pask import syntax
+from kumjian_pask.algebra import enumerate_basis, uniform_window
 from kumjian_pask.freealg import Element, IntegerRing, ModularRing, letter
 from kumjian_pask.kgraph import Path, StandardKGraph, vertex
 from kumjian_pask.syntax import (ElementSyntaxError, format_element,
-                                 format_path, parse_element)
+                                 format_path, format_word, parse_element)
+from reference import assert_exact_words
 
 ZZ = IntegerRing()
 G22 = StandardKGraph(2, 2)
 G12 = StandardKGraph(1, 2)
+G13 = StandardKGraph(1, 3)
+G23 = StandardKGraph(2, 3)
 
 
 def test_format_examples():
@@ -202,3 +209,76 @@ def test_round_trip_random_elements():
         text = format_element(x)
         assert parse_element(text, graph, ring) == x
         assert format_element(parse_element(text, graph, ring)) == text
+
+
+def _syntax_error(text, graph):
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_element(text, graph, ZZ)
+    return err.value
+
+
+def test_memo_keys_on_the_graph():
+    # a path read at one (k, level) is checked again at another
+    assert parse_element("p[(1)->(0);3]", G13, ZZ)
+    err = _syntax_error("p[(1)->(0);3]", G12)
+    assert err.pos == 0 and "level entry 3 out of range 1..2" in str(err)
+    assert parse_element("v(1,2)", G22, ZZ)
+    err = _syntax_error("v(1,2)", G12)
+    assert err.pos == 0 and "expected 1 coordinates, got 2" in str(err)
+
+
+def test_memo_keeps_no_fault():
+    for _ in range(2):
+        assert _syntax_error("v(0) + p[(1)->(0);3]", G12).pos == 7
+    lam = Path((1,), (0,), (2,))
+    assert parse_element("v(0) + p[(1)->(0);2]", G12, ZZ) == (
+        Element.from_word(ZZ, (letter(vertex((0,))),))
+        + Element.from_word(ZZ, (letter(lam),)))
+
+
+def test_path_and_ghost_share_a_memo_entry():
+    (w, c), = parse_element("p[(1)->(0);1] . p[(1)->(0);1]*",
+                            G12, ZZ).terms.items()
+    lam = Path((1,), (0,), (1,))
+    assert c == 1 and w == (letter(lam), letter(lam, ghost=True))
+
+
+def _counting(monkeypatch, fn, calls, name):
+    """Replace fn by a counting wrapper wherever the package binds it by
+    name, as the benchmark tracer does."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("kumjian_pask"):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
+def test_cold_and_warm_memos_agree(monkeypatch):
+    words = enumerate_basis(G23, uniform_window(2, -3, 3, 2))
+    assert len(words) == 20983
+    syntax._read_path.cache_clear()
+    syntax.format_path.cache_clear()
+    calls = Counter()
+    _counting(monkeypatch, syntax.format_path, calls, "format_path")
+    _counting(monkeypatch, syntax.letter, calls, "letter")
+
+    def one_pass():
+        calls.clear()
+        lines = [format_word(w) for w in words]
+        parsed = [parse_element(line, G23, ZZ) for line in lines]
+        again = [format_element(x) for x in parsed]
+        return lines, parsed, again, dict(calls)
+
+    cold = one_pass()
+    warm = one_pass()
+    assert cold == warm
+    lines, parsed, again, counts = cold
+    assert [list(x.terms) for x in parsed] == [[w] for w in words]
+    assert again == [f"1 * {line}" for line in lines]
+    for x in parsed:
+        assert_exact_words(x)
+    letters = sum(map(len, words))
+    assert counts == {"format_path": 2 * letters, "letter": letters}
